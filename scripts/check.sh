@@ -36,7 +36,9 @@
 #                  and fails unless the non-timing exposition is
 #                  byte-identical, the alert stream carries installs, and
 #                  SIGTERM drains cleanly (conservation audit ok, exit 0);
-#                  then repeats the serve-and-drain run under ASan
+#                  then repeats the serve-and-drain run under ASan, and
+#                  under TSan with a two-slot ring (the producer parks on
+#                  nearly every batch; any TSan report fails it)
 #   --csv-drift    Release build + regenerate the committed fig*/table*/b*
 #                  CSVs in a scratch dir: fails if any regenerated CSV
 #                  differs from the committed copy (stale-artifact gate)
@@ -427,6 +429,23 @@ EOF
   "${asan_dir}/src/daemon/iguardd" --trace "${work}/trace.csv" --loop 2 --shards 2 \
     | grep -q "conservation audit: ok"
   echo "daemon-smoke OK under ASan"
+  # And race-free under TSan. A two-slot ring fills on every push, so the
+  # threaded producer waits, and the consumer wakes it, on nearly every one.
+  local tsan_dir="build-check-daemon-tsan"
+  cmake -B "${tsan_dir}" -S . "${GENERATOR_ARGS[@]}" -DIGUARD_SANITIZE=thread \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build "${tsan_dir}" -j "${JOBS}" --target iguardd
+  printf 'ring_capacity = 2\n' > "${work}/tsan.conf"
+  local tsan_status=0
+  "${tsan_dir}/src/daemon/iguardd" --config "${work}/tsan.conf" --trace "${work}/trace.csv" \
+    --loop 2 --shards 2 > "${work}/tsan.log" 2>&1 || tsan_status=$?
+  if [[ "${tsan_status}" != 0 ]] || grep -q "ThreadSanitizer" "${work}/tsan.log" ||
+     ! grep -q "conservation audit: ok" "${work}/tsan.log"; then
+    cat "${work}/tsan.log"
+    echo "daemon-smoke FAILED under TSan (exit ${tsan_status})"
+    exit 1
+  fi
+  echo "daemon-smoke OK under TSan (ring_capacity = 2)"
 }
 
 # The committed paper artifacts regenerated by --csv-drift, with the bench

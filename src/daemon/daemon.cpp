@@ -1,12 +1,23 @@
 #include "daemon/daemon.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <thread>
 
 namespace iguard::daemon {
 
 namespace {
+
+/// Consume a pending-reload flag. The plain load first keeps the common
+/// "nothing pending" poll a read: an exchange is a locked read-modify-write
+/// that would pull the flags' line away from the other serving thread on
+/// every poll.
+bool take_flag(std::atomic<bool>& flag) {
+  return flag.load(std::memory_order_relaxed) &&
+         flag.exchange(false, std::memory_order_acq_rel);
+}
 
 void accumulate(io::OverloadStats& into, const io::OverloadStats& s) {
   into.offered += s.offered;
@@ -186,7 +197,7 @@ Daemon::Daemon(const DaemonConfig& cfg, const switchsim::DeployedModel& model)
   }
 
   admit_buf_.reserve(cfg_.overload.queue_capacity + 1024);
-  io_buf_.reserve(cfg_.source.chunk_bytes);
+  stage_.resize(kStageCapacity);
 
   if (cfg_.metrics != nullptr && cfg_.metrics->enabled()) {
     const std::string& p = cfg_.metrics_prefix;
@@ -196,6 +207,8 @@ Daemon::Daemon(const DaemonConfig& cfg, const switchsim::DeployedModel& model)
     obs_.loops = cfg_.metrics->counter(p + ".loops");
     obs_.reloads = cfg_.metrics->counter(p + ".reloads");
     obs_.alerts_emitted = cfg_.metrics->counter(p + ".alerts");
+    obs_.producer_waits = cfg_.metrics->counter("timing." + p + ".producer_waits");
+    obs_.consumer_idle = cfg_.metrics->counter("timing." + p + ".consumer_idle");
   }
 }
 
@@ -217,17 +230,20 @@ void Daemon::offer_packet(const traffic::Packet& p) {
 }
 
 void Daemon::push_admitted() {
-  for (const auto& p : admit_buf_) {
-    while (!ring_.try_push(p)) {
-      if (inline_drain_) {
-        drain_some(ring_.capacity() / 2);
-      } else {
-        std::this_thread::yield();  // threaded mode: the consumer is draining
-      }
+  std::span<const traffic::Packet> rest(admit_buf_);
+  while (!rest.empty()) {
+    const std::size_t n = ring_.try_push_n(rest);
+    if (n > 0) {
+      rest = rest.subspan(n);
+    } else if (inline_drain_) {
+      drain_some(ring_.capacity() / 2);
+    } else {
+      ring_.wait_while_full();  // threaded mode: parked until the consumer pops
+      obs_.producer_waits.inc();
     }
-    ++stats_.pushed;
-    obs_.pushed.inc();
   }
+  stats_.pushed += admit_buf_.size();
+  obs_.pushed.inc(admit_buf_.size());
   admit_buf_.clear();
 }
 
@@ -276,9 +292,12 @@ void Daemon::ingest_batch(std::string& bytes) {
 
 void Daemon::finish_producer() {
   if (producer_done_.load(std::memory_order_relaxed)) return;
-  if (framer_.pending_bytes() > 0 && framer_.take_tail(batch_buf_) > 0) {
-    ingest_batch(batch_buf_);
-  }
+  // Bytes still in the framer here are the head of a record the last read
+  // cut (take_batch left no complete record behind): a stop ended the
+  // source mid-record. That record was never delivered, so it is not handed
+  // to the reader — which would quarantine it as truncated and charge the
+  // source with corruption it did not commit. A finished pass flushed its
+  // unterminated tail before reaching here.
   gate_->flush(admit_buf_);
   push_admitted();
   producer_alert_scan();
@@ -314,19 +333,20 @@ Daemon::PumpStatus Daemon::pump_once() {
     return PumpStatus::kDone;
   }
 
-  std::size_t n = 0;
+  // The framer copies the bytes out of the source's buffer before the next
+  // read reuses it.
+  std::string_view got;
   bool at_end = false;
   if (cfg_.source.kind == SourceConfig::Kind::kFile) {
-    n = file_.read_some(io_buf_, cfg_.source.chunk_bytes);
-    at_end = n == 0;
+    got = file_.read_chunk(cfg_.source.chunk_bytes);
+    at_end = got.empty();
   } else {
-    n = fd_.read_some(io_buf_, cfg_.source.chunk_bytes);
+    got = fd_.read_chunk(cfg_.source.chunk_bytes);
     at_end = fd_.eof();
   }
 
-  if (n > 0) {
-    framer_.feed(io_buf_);
-    io_buf_.clear();
+  if (!got.empty()) {
+    framer_.feed(got);
     while (framer_.take_batch(batch_buf_, cfg_.max_batch_records) > 0) {
       ingest_batch(batch_buf_);
     }
@@ -360,16 +380,23 @@ Daemon::PumpStatus Daemon::pump_once() {
 std::size_t Daemon::drain_some(std::size_t max_packets) {
   apply_pending_model_reload();
   std::size_t done = 0;
-  traffic::Packet p;
-  while (done < max_packets && ring_.try_pop(p)) {
-    ++stats_.popped;
-    obs_.popped.inc();
-    consumer_ts_ = p.ts;
-    const std::size_t k =
-        cfg_.shards == 1 ? 0 : switchsim::shard_of(p.ft, cfg_.shards, cfg_.shard_seed);
-    pipelines_[k]->process(p, sim_[k]);
-    ++done;
-    if (++since_alert_scan_ >= cfg_.alert_check_every) consumer_alert_scan();
+  while (done < max_packets) {
+    const std::size_t want = std::min(max_packets - done, stage_.size());
+    const std::size_t n = ring_.try_pop_n(std::span(stage_.data(), want));
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; ++i) {
+      const traffic::Packet& p = stage_[i];
+      consumer_ts_ = p.ts;
+      const std::size_t k =
+          cfg_.shards == 1 ? 0 : switchsim::shard_of(p.ft, cfg_.shards, cfg_.shard_seed);
+      pipelines_[k]->process(p, sim_[k]);
+      if (++since_alert_scan_ >= cfg_.alert_check_every) consumer_alert_scan();
+    }
+    // Counted after the batch's verdicts: a reader of daemon.popped never
+    // sees a packet counted whose verdict is still pending.
+    done += n;
+    stats_.popped += n;
+    obs_.popped.inc(n);
   }
   return done;
 }
@@ -400,7 +427,7 @@ void Daemon::consumer_alert_scan() {
 }
 
 void Daemon::apply_pending_gate_reload() {
-  if (!reload_gate_pending_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!take_flag(reload_gate_pending_)) return;
   io::OverloadConfig oc;
   SourceConfig sc;
   std::size_t max_batch = cfg_.max_batch_records;
@@ -432,7 +459,7 @@ void Daemon::apply_pending_gate_reload() {
 }
 
 void Daemon::apply_pending_model_reload() {
-  if (!reload_model_pending_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!take_flag(reload_model_pending_)) return;
   {
     const std::lock_guard<std::mutex> lock(reload_mu_);
     if (pending_reload_ != nullptr) cfg_.alert_check_every = pending_reload_->alert_check_every;
@@ -514,6 +541,7 @@ void Daemon::run() {
       if (drain_some(1) == 0) break;
       continue;
     }
+    obs_.consumer_idle.inc();
     std::this_thread::yield();
   }
   producer.join();

@@ -14,7 +14,21 @@
 // function of the packet sequence, both modes produce byte-identical
 // non-timing state — the determinism tests gate exactly that.
 //
-// Steady-state allocation contract: the consumer packet path (try_pop →
+// The hand-off is batch-granular, so the only cross-core traffic a packet
+// causes is its own ring slot:
+//   - the producer pushes the gate's admitted batch with try_push_n; on a
+//     full ring it parks (threaded) or drains inline (single-thread modes);
+//   - the consumer pops up to kStageCapacity packets into a staging array
+//     it owns, then runs the per-packet loop (shard route, process, alert
+//     cadence) over that array;
+//   - DaemonStats::pushed/popped and the daemon.pushed/popped counters move
+//     once per batch. popped counts a batch after its verdicts, so when
+//     drain_some() returns daemon.popped equals the packets judged so far.
+// Scheduling-dependent hand-off counts live under timing.* (producer waits
+// on a full ring, consumer polls of an empty one), outside the
+// deterministic exposition.
+//
+// Steady-state allocation contract: the consumer packet path (try_pop_n →
 // shard_of → Pipeline::process → alert cadence check) allocates nothing
 // once warm — the alloc-probe test extends the counting-operator-new gate
 // over drain_some(). The producer side allocates per *batch* (file chunk,
@@ -141,6 +155,7 @@ class Daemon {
 
   /// Consumer step: pop and process up to `max_packets`. Returns packets
   /// processed. Applies a pending model reload at entry (a safe point).
+  /// Allocation-free: packets pass through the preallocated staging array.
   std::size_t drain_some(std::size_t max_packets);
 
   /// Threaded serving loop: producer thread + this thread as consumer.
@@ -156,7 +171,9 @@ class Daemon {
 
   /// Ask the serving loop to wind down: the producer stops reading new
   /// bytes, flushes the gate, closes the ring; the consumer drains the
-  /// residue. Callable from any thread (signal-handler driven).
+  /// residue. A record the last read cut in half is never offered (it was
+  /// not delivered), so a stop does not quarantine it. Callable from any
+  /// thread (signal-handler driven).
   void request_stop();
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
 
@@ -205,7 +222,6 @@ class Daemon {
   RecordFramer framer_;
   std::unique_ptr<io::OverloadGate> gate_;
   io::OverloadStats gate_base_;    // stats of gates retired by reloads
-  std::string io_buf_;             // raw source bytes (reused)
   std::string batch_buf_;          // framed batch (reused)
   std::vector<traffic::Packet> admit_buf_;  // gate output (reused)
   double time_offset_ = 0.0;       // looped-replay event-time shift
@@ -220,6 +236,10 @@ class Daemon {
   io::SpscRing<traffic::Packet> ring_;
 
   // --- consumer state -------------------------------------------------------
+  /// Packets drain_some() pops per ring call: enough to amortise the cursor
+  /// hand-off, small enough (~10 KiB) to stay in L1/L2 while processed.
+  static constexpr std::size_t kStageCapacity = 256;
+  std::vector<traffic::Packet> stage_;  // kStageCapacity, sized once
   std::vector<std::unique_ptr<switchsim::Pipeline>> pipelines_;
   std::vector<switchsim::SimStats> sim_;         // per shard
   std::vector<std::uint64_t> alert_installs_seen_;   // per shard
@@ -247,6 +267,10 @@ class Daemon {
   std::atomic<bool> reload_model_pending_{false};
   struct DaemonObs {
     obs::Counter pushed, popped, batches, loops, reloads, alerts_emitted;
+    /// timing.<prefix>.*: scheduling-dependent, so outside the
+    /// deterministic exposition.
+    obs::Counter producer_waits;  // producer found the ring full and waited
+    obs::Counter consumer_idle;   // consumer found the ring empty (run())
   } obs_;
 };
 

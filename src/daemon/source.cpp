@@ -36,16 +36,19 @@ bool FileTail::open(const std::string& path) {
   return true;
 }
 
-std::size_t FileTail::read_some(std::string& out, std::size_t max_bytes) {
-  if (f_ == nullptr || max_bytes == 0) return 0;
+std::string_view FileTail::read_chunk(std::size_t max_bytes) {
+  if (f_ == nullptr || max_bytes == 0) return {};
   // The EOF flag on a FILE* is sticky; clear it so follow mode picks up
   // bytes appended after a previous short read.
   std::clearerr(f_);
-  const std::size_t old = out.size();
-  out.resize(old + max_bytes);
-  const std::size_t n = std::fread(out.data() + old, 1, max_bytes, f_);
-  out.resize(old + n);
-  return n;
+  if (chunk_.size() < max_bytes) chunk_.resize(max_bytes);
+  return {chunk_.data(), std::fread(chunk_.data(), 1, max_bytes, f_)};
+}
+
+std::size_t FileTail::read_some(std::string& out, std::size_t max_bytes) {
+  const std::string_view got = read_chunk(max_bytes);
+  out.append(got);
+  return got.size();
 }
 
 void FileTail::rewind() {
@@ -55,22 +58,23 @@ void FileTail::rewind() {
   }
 }
 
-std::size_t FdSource::read_some(std::string& out, std::size_t max_bytes) {
-  if (fd_ < 0 || eof_ || max_bytes == 0) return 0;
-  const std::size_t old = out.size();
-  out.resize(old + max_bytes);
-  const ssize_t n = ::read(fd_, out.data() + old, max_bytes);
-  if (n > 0) {
-    out.resize(old + static_cast<std::size_t>(n));
-    return static_cast<std::size_t>(n);
-  }
-  out.resize(old);
+std::string_view FdSource::read_chunk(std::size_t max_bytes) {
+  if (fd_ < 0 || eof_ || max_bytes == 0) return {};
+  if (chunk_.size() < max_bytes) chunk_.resize(max_bytes);
+  const ssize_t n = ::read(fd_, chunk_.data(), max_bytes);
+  if (n > 0) return {chunk_.data(), static_cast<std::size_t>(n)};
   if (n == 0) {
     eof_ = true;  // peer closed / end of stdin
   } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
     eof_ = true;  // hard read error ends the source; the framer flushes
   }
-  return 0;
+  return {};
+}
+
+std::size_t FdSource::read_some(std::string& out, std::size_t max_bytes) {
+  const std::string_view got = read_chunk(max_bytes);
+  out.append(got);
+  return got.size();
 }
 
 void RecordFramer::feed(std::string_view bytes) { pending_.append(bytes); }

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace iguard::daemon {
 
@@ -36,8 +37,12 @@ class FileTail {
 
   /// False when the file cannot be opened (error(), not an exception).
   bool open(const std::string& path);
-  /// Append up to `max_bytes` to `out`; returns bytes read (0 = at EOF for
-  /// now — more may appear later in follow mode).
+  /// Read up to `max_bytes` into a buffer the source owns and return the
+  /// bytes read; empty = at EOF for now (more may appear later in follow
+  /// mode). The view is valid until the next read. The buffer is sized by
+  /// the largest `max_bytes` seen and never zero-filled per read.
+  std::string_view read_chunk(std::size_t max_bytes);
+  /// read_chunk() appended to `out`; returns the byte count.
   std::size_t read_some(std::string& out, std::size_t max_bytes);
   /// Restart the pass from offset 0 (looped replay of a finite file).
   void rewind();
@@ -47,6 +52,7 @@ class FileTail {
  private:
   std::FILE* f_ = nullptr;
   std::string error_;
+  std::vector<char> chunk_;  // read buffer; grows only with max_bytes
 };
 
 /// Chunked reader over an existing descriptor (stdin, a connected replay
@@ -57,8 +63,11 @@ class FdSource {
   FdSource() = default;
   explicit FdSource(int fd) : fd_(fd) {}
 
-  /// Append up to `max_bytes`; returns bytes read. 0 with eof() false means
-  /// "nothing right now" (interrupted read); 0 with eof() true is the end.
+  /// As FileTail::read_chunk. Empty with eof() false means "nothing right
+  /// now" (interrupted read, empty non-blocking descriptor); empty with
+  /// eof() true is the end.
+  std::string_view read_chunk(std::size_t max_bytes);
+  /// read_chunk() appended to `out`; returns the byte count.
   std::size_t read_some(std::string& out, std::size_t max_bytes);
   bool eof() const { return eof_; }
   int fd() const { return fd_; }
@@ -66,6 +75,7 @@ class FdSource {
  private:
   int fd_ = -1;
   bool eof_ = false;
+  std::vector<char> chunk_;  // read buffer; grows only with max_bytes
 };
 
 /// Cuts a byte stream into reader-ready batches. Wire format is detected

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "io/spsc_ring.hpp"
@@ -147,14 +148,20 @@ traffic::Trace pump_through_ring(const traffic::Trace& trace, std::size_t ring_c
   SpscRing<traffic::Packet> ring(ring_capacity);
   const std::size_t to_produce = std::min(produce_count, trace.size());
   traffic::Trace out;
-  out.packets.reserve(to_produce);
+  out.packets.resize(to_produce);
 
+  // The daemon's hand-off protocol: bulk pushes, and a full ring parks the
+  // producer until the consumer's next pop instead of spinning.
   std::uint64_t push_retries = 0;
   std::thread producer([&] {
-    for (std::size_t i = 0; i < to_produce; ++i) {
-      while (!ring.try_push(trace.packets[i])) {
-        ++push_retries;  // backpressure: spin, never drop
-        std::this_thread::yield();
+    std::span<const traffic::Packet> rest(trace.packets.data(), to_produce);
+    while (!rest.empty()) {
+      const std::size_t n = ring.try_push_n(rest);
+      if (n > 0) {
+        rest = rest.subspan(n);
+      } else {
+        ++push_retries;  // backpressure: wait, never drop
+        ring.wait_while_full();
       }
     }
     ring.close();
@@ -164,26 +171,28 @@ traffic::Trace pump_through_ring(const traffic::Trace& trace, std::size_t ring_c
   // Keying the exit on the close signal instead of an expected count means a
   // producer that stops early (truncated source, shutdown) ends the pump
   // instead of live-locking the consumer.
-  traffic::Packet p;
+  std::size_t got = 0;
+  const auto pop = [&] {
+    const std::size_t n = ring.try_pop_n(std::span(out.packets).subspan(got));
+    got += n;
+    return n;
+  };
   for (;;) {
-    if (ring.try_pop(p)) {
-      out.packets.push_back(p);
-      continue;
-    }
+    if (pop() > 0) continue;
     if (ring.closed()) {
       // close() is stored after the final push; re-check once after
       // observing it so that push cannot be missed.
-      if (!ring.try_pop(p)) break;
-      out.packets.push_back(p);
+      if (pop() == 0) break;
       continue;
     }
     ++stats.pop_retries;
     std::this_thread::yield();
   }
   producer.join();
+  out.packets.resize(got);
 
   stats.pushed += to_produce;
-  stats.popped += out.packets.size();
+  stats.popped += got;
   stats.push_retries += push_retries;
   return out;
 }

@@ -103,14 +103,16 @@ struct ShedResult {
 ShedResult shed_overload(const traffic::Trace& trace, const OverloadConfig& cfg);
 
 /// Threaded smoke path: move a trace through an SpscRing (producer thread
-/// pushes, consumer pops), spinning on backpressure instead of shedding.
-/// Order and content are preserved — the ring adds concurrency, not policy —
-/// so the output is deterministic even though retry counts are not.
+/// pushes, consumer pops) with the daemon's hand-off protocol — bulk ring
+/// ops, and a producer parked on a full ring instead of shedding. Order and
+/// content are preserved — the ring adds concurrency, not policy — so the
+/// output is deterministic even though retry counts are not.
 struct RingPumpStats {
   std::uint64_t pushed = 0;
   std::uint64_t popped = 0;
-  /// Wall-clock-dependent backpressure spins; NOT deterministic. Export
-  /// under "timing." only.
+  /// Wall-clock-dependent backpressure counts; NOT deterministic. Export
+  /// under "timing." only. push_retries counts producer waits on a full
+  /// ring, pop_retries consumer polls of an empty one.
   std::uint64_t push_retries = 0;
   std::uint64_t pop_retries = 0;
 };

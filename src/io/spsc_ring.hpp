@@ -1,18 +1,33 @@
 // Lock-free bounded single-producer/single-consumer ring (DESIGN.md §4g):
 // the hand-off queue between the ingest reader thread and a sharded replay
 // pipeline. Capacity is rounded up to a power of two so index wrapping is a
-// mask; producer and consumer cursors live on separate cache lines so the
-// two threads never false-share. try_push/try_pop never block — overload
-// policy (shed vs. spin) is the caller's decision, with its own accounting
-// (io/overload.hpp), not the queue's.
+// mask. try_push/try_pop and the bulk try_push_n/try_pop_n never block —
+// overload policy (shed vs. wait) is the caller's decision, with its own
+// accounting (io/overload.hpp), not the queue's. A producer that chooses to
+// wait calls wait_while_full(), which parks it until the consumer frees a
+// slot.
 //
+// Cross-core traffic is kept to what a hand-off needs:
+//   - Each side's line holds its own cursor plus a private cache of the
+//     other side's cursor. A side re-reads the other's cursor only when its
+//     cache cannot satisfy the call (for one element: when the ring looks
+//     full to the producer or empty to the consumer), so a steady stream
+//     touches the other side's line once per refill, not once per element.
+//   - The bulk ops move up to n elements and publish the cursor once.
 // Memory ordering is the classic SPSC pairing: each side reads its own
 // cursor relaxed (it is the only writer of it), reads the opposite cursor
-// acquire, and publishes its own cursor release after touching the slot.
+// acquire, and publishes its own cursor release after touching the slots.
+//
+// Parking: wait_while_full() blocks on the consumer cursor with C++20
+// std::atomic::wait (after the library's brief spin); every pop that moves
+// the cursor calls notify_one, which costs no system call while nobody
+// waits. There is no timed sleep anywhere in the protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,22 +52,45 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side only. False = full (caller sheds or retries).
-  bool try_push(T v) {
+  /// Producer side only. False = full (caller sheds, waits or retries).
+  bool try_push(T v) { return try_push_n(std::span<const T>(&v, 1)) == 1; }
+
+  /// Producer side only. Copies the longest prefix of `src` that fits and
+  /// publishes it with one cursor store. Returns how many were pushed
+  /// (0 = full).
+  std::size_t try_push_n(std::span<const T> src) {
     const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (t - head_.load(std::memory_order_acquire) == buf_.size()) return false;
-    buf_[t & mask_] = std::move(v);
-    tail_.store(t + 1, std::memory_order_release);
-    return true;
+    const std::size_t n = std::min(src.size(), free_slots(t, src.size()));
+    for (std::size_t i = 0; i < n; ++i) buf_[(t + i) & mask_] = src[i];
+    if (n > 0) tail_.store(t + n, std::memory_order_release);
+    return n;
+  }
+
+  /// Producer side only. Block until the ring has a free slot: spin
+  /// briefly, then park on the consumer cursor until a pop moves it.
+  /// Returns at once when the ring is not full.
+  void wait_while_full() {
+    const std::size_t t = tail_.load(std::memory_order_relaxed);
+    for (;;) {
+      const std::size_t h = head_.load(std::memory_order_acquire);
+      cached_head_ = h;
+      if (t - h != buf_.size()) return;
+      head_.wait(h, std::memory_order_acquire);
+    }
   }
 
   /// Consumer side only. False = empty.
-  bool try_pop(T& out) {
+  bool try_pop(T& out) { return try_pop_n(std::span<T>(&out, 1)) == 1; }
+
+  /// Consumer side only. Moves up to `out.size()` elements into the front
+  /// of `out`, in FIFO order, and publishes them with one cursor store.
+  /// Returns how many were popped (0 = empty).
+  std::size_t try_pop_n(std::span<T> out) {
     const std::size_t h = head_.load(std::memory_order_relaxed);
-    if (tail_.load(std::memory_order_acquire) == h) return false;
-    out = std::move(buf_[h & mask_]);
-    head_.store(h + 1, std::memory_order_release);
-    return true;
+    const std::size_t n = std::min(out.size(), filled_slots(h, out.size()));
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::move(buf_[(h + i) & mask_]);
+    if (n > 0) publish_head(h + n);
+    return n;
   }
 
   /// Producer side: publish end-of-stream. The release store pairs with the
@@ -63,9 +101,9 @@ class SpscRing {
   /// every packet the producer will ever push.
   void close() { closed_.store(true, std::memory_order_release); }
 
-  /// Consumer side. Drain protocol: on a failed try_pop, check closed();
-  /// if set, one more try_pop decides — another failure means the stream is
-  /// finished (nothing can be in flight past a close).
+  /// Consumer side. Drain protocol: on a failed pop, check closed(); if set,
+  /// one more pop decides — another failure means the stream is finished
+  /// (nothing can be in flight past a close).
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   std::size_t capacity() const { return buf_.size(); }
@@ -76,10 +114,34 @@ class SpscRing {
   }
 
  private:
+  /// Producer: free slots behind tail `t`, refreshing the cached consumer
+  /// cursor only when the cache shows fewer than `want`.
+  std::size_t free_slots(std::size_t t, std::size_t want) {
+    if (buf_.size() - (t - cached_head_) < want) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+    }
+    return buf_.size() - (t - cached_head_);
+  }
+
+  /// Consumer: filled slots ahead of head `h`, refreshing the cached
+  /// producer cursor only when the cache shows fewer than `want`.
+  std::size_t filled_slots(std::size_t h, std::size_t want) {
+    if (cached_tail_ - h < want) cached_tail_ = tail_.load(std::memory_order_acquire);
+    return cached_tail_ - h;
+  }
+
+  /// Consumer: release the popped slots and wake a parked producer.
+  void publish_head(std::size_t h) {
+    head_.store(h, std::memory_order_release);
+    head_.notify_one();
+  }
+
   std::vector<T> buf_;
   std::size_t mask_;
   alignas(64) std::atomic<std::size_t> head_{0};  // consumer cursor
+  std::size_t cached_tail_ = 0;                   // consumer's view of tail_
   alignas(64) std::atomic<std::size_t> tail_{0};  // producer cursor
+  std::size_t cached_head_ = 0;                   // producer's view of head_
   alignas(64) std::atomic<bool> closed_{false};   // producer end-of-stream flag
 };
 

@@ -1,12 +1,14 @@
-// Serving-daemon tests (DESIGN.md §4i): record framing against split reads,
-// Prometheus exposition determinism, alert-stream conservation against the
-// daemon's own counters, threaded-vs-synchronous parity, hot reload through
-// the hitless swap path, and the regression gates for the overload-gate
-// token-precision fix, the ring close protocol, and the chaos burst-
-// multiplier validation.
+// Serving-daemon tests (DESIGN.md §4i): byte sources and record framing
+// against split reads, Prometheus exposition determinism, alert-stream
+// conservation against the daemon's own counters, threaded-vs-synchronous
+// parity across ring capacities, a parked producer woken at stop, hot
+// reload through the hitless swap path, and the regression gates for the
+// overload-gate token-precision fix, the ring close protocol, the chaos
+// burst-multiplier validation, and a stop that cuts a record.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,6 +26,7 @@
 #include "daemon/daemon.hpp"
 #include "daemon/http.hpp"
 #include "daemon/source.hpp"
+#include "deadline.hpp"
 #include "io/chaos.hpp"
 #include "io/overload.hpp"
 #include "ml/rng.hpp"
@@ -242,6 +245,62 @@ TEST(RecordFramer, OversizedPcapLengthIsFatalNotGuessed) {
   EXPECT_TRUE(framer.fatal());
 }
 
+// --- byte sources -----------------------------------------------------------
+
+// Reads land in the source's own buffer and only the bytes read are
+// appended: short reads, reads split at every size and empty polls at EOF
+// reproduce the file byte for byte and never pad or clobber `out`.
+TEST(FileTail, ShortSplitAndEmptyReadsAreByteIdentical) {
+  const std::string csv = io::trace_to_csv(make_trace(9, 5));
+  const std::string path = write_temp("file_tail_reads.csv", csv);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  csv.size() - 1, csv.size(), std::size_t{64 * 1024}}) {
+    SCOPED_TRACE(chunk);
+    FileTail src;
+    ASSERT_TRUE(src.open(path));
+    std::string out = "prefix|";
+    std::size_t n = 0;
+    while ((n = src.read_some(out, chunk)) > 0) EXPECT_LE(n, chunk);
+    EXPECT_EQ(src.read_some(out, chunk), 0u);  // a second empty poll at EOF
+    EXPECT_EQ(out, "prefix|" + csv);
+    // Looped replay: the next pass reads the same bytes again.
+    src.rewind();
+    std::string again;
+    while (src.read_some(again, chunk) > 0) {
+    }
+    EXPECT_EQ(again, csv);
+  }
+}
+
+TEST(FdSource, ShortSplitAndEmptyReadsAreByteIdentical) {
+  const std::string csv = io::trace_to_csv(make_trace(9, 5));
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, ::fcntl(fds[0], F_GETFL) | O_NONBLOCK), 0);
+  FdSource src(fds[0]);
+  std::string out = "prefix|";
+  EXPECT_EQ(src.read_some(out, 64 * 1024), 0u);  // empty pipe: nothing right now
+  EXPECT_FALSE(src.eof());
+  EXPECT_EQ(out, "prefix|");
+  // Write in uneven pieces, read with a small and then a large chunk.
+  std::size_t at = 0;
+  for (const std::size_t piece : {std::size_t{3}, std::size_t{100}, std::size_t{1}}) {
+    ASSERT_EQ(::write(fds[1], csv.data() + at, piece), static_cast<ssize_t>(piece));
+    at += piece;
+    while (src.read_some(out, 13) > 0) {
+    }
+    EXPECT_EQ(out, "prefix|" + csv.substr(0, at));
+  }
+  ASSERT_EQ(::write(fds[1], csv.data() + at, csv.size() - at),
+            static_cast<ssize_t>(csv.size() - at));
+  ::close(fds[1]);
+  while (!src.eof()) src.read_some(out, 64 * 1024);
+  EXPECT_EQ(out, "prefix|" + csv);
+  EXPECT_EQ(src.read_some(out, 64 * 1024), 0u);
+  EXPECT_EQ(out, "prefix|" + csv);
+  ::close(fds[0]);
+}
+
 // --- Prometheus exposition --------------------------------------------------
 
 TEST(Prometheus, DeterministicRenderingAndNameSanitisation) {
@@ -315,29 +374,109 @@ TEST(Daemon, ServesLoopedTraceWithConservationAndDeterminism) {
             strip_timing(obs::to_prometheus(reg_b.snapshot())));
 }
 
+// The ring only adds concurrency: at every capacity — 2 parks the producer
+// on nearly every batch, 1024 holds whole batches — and shard count, the
+// threaded run equals the synchronous one in stats and in every non-timing
+// byte of the exposition.
 TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
   Model model;
   const std::string path =
       write_temp("daemon_threaded.csv", io::trace_to_csv(make_trace(20, 6)));
 
-  const auto run_mode = [&](bool threaded) {
-    DaemonConfig cfg = base_config(path);
-    cfg.source.loops = 2;
-    cfg.shards = 2;
-    cfg.ring_capacity = 64;
-    Daemon d(cfg, model.dm);
-    if (threaded) {
-      d.run();
-    } else {
-      d.run_synchronous();
-    }
-    return d.stats();
-  };
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{64}, std::size_t{1024}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE("ring_capacity=" + std::to_string(capacity) +
+                   " shards=" + std::to_string(shards));
+      const auto run_mode = [&](bool threaded, obs::Registry& reg) {
+        DaemonConfig cfg = base_config(path);
+        cfg.source.loops = 2;
+        cfg.source.chunk_bytes = 1024;  // many batches per pass
+        cfg.shards = shards;
+        cfg.ring_capacity = capacity;
+        cfg.metrics = &reg;
+        Daemon d(cfg, model.dm);
+        if (threaded) {
+          d.run();
+        } else {
+          d.run_synchronous();
+        }
+        return d.stats();
+      };
 
-  const DaemonStats threaded = run_mode(true);
-  const DaemonStats synchronous = run_mode(false);
-  EXPECT_EQ(audit_daemon_conservation(threaded), "");
-  EXPECT_EQ(threaded, synchronous);
+      obs::Registry reg_threaded, reg_sync;
+      const DaemonStats threaded = run_mode(true, reg_threaded);
+      const DaemonStats synchronous = run_mode(false, reg_sync);
+      EXPECT_EQ(audit_daemon_conservation(threaded), "");
+      EXPECT_EQ(threaded, synchronous);
+      EXPECT_EQ(strip_timing(obs::to_prometheus(reg_threaded.snapshot())),
+                strip_timing(obs::to_prometheus(reg_sync.snapshot())));
+    }
+  }
+}
+
+// A stop finds the producer parked on a full ring (capacity 2, a source
+// that never ends): the consumer's stop-time drain must wake it so it can
+// flush, close and let run() return. The hand-off counts are visible, under
+// timing.* only.
+TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
+  Model model;
+  const std::string path =
+      write_temp("daemon_parked.csv", io::trace_to_csv(make_trace(24, 8)));
+  obs::Registry reg;
+  DaemonConfig cfg = base_config(path);
+  cfg.source.loops = 0;  // forever — only request_stop can end it
+  cfg.ring_capacity = 2;
+  cfg.metrics = &reg;
+  Daemon d(cfg, model.dm);
+  const obs::Counter waits = reg.counter("timing.daemon.producer_waits");
+
+  run_within_deadline(std::chrono::seconds(60), "stop with a parked producer", [&] {
+    std::thread server([&] { d.run(); });
+    while (waits.value() < 50) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    d.request_stop();
+    server.join();
+  });
+
+  const DaemonStats s = d.stats();
+  EXPECT_EQ(audit_daemon_conservation(s), "");
+  EXPECT_GT(s.sim.packets, 0u);
+  EXPECT_GE(waits.value(), 50u);
+  EXPECT_EQ(strip_timing(d.metrics_text()).find("producer_waits"), std::string::npos);
+}
+
+// Regression: a stop mid-file handed the framer's partial record — the head
+// of a record the last read cut — to the reader, which quarantined a clean
+// source's record as truncated. Reads shorter than one record leave such a
+// head pending after every pump.
+TEST(Daemon, StopMidRecordDoesNotQuarantineTheCutRecord) {
+  Model model;
+  const traffic::Trace t = make_trace(12, 6);
+  const std::string path = write_temp("daemon_stop_mid_record.csv", io::trace_to_csv(t));
+  DaemonConfig cfg = base_config(path);
+  cfg.source.chunk_bytes = 5;  // every CSV record is longer than this
+  Daemon d(cfg, model.dm);
+
+  // Serve until a few records are through, then one more short read: the
+  // framer now holds the first 5..9 bytes of the next record.
+  while (d.stats().ingest.offered < 10) {
+    d.pump_once();
+    d.drain_some(static_cast<std::size_t>(-1));
+  }
+  d.pump_once();
+  d.request_stop();
+  for (;;) {
+    const Daemon::PumpStatus st = d.pump_once();
+    d.drain_some(static_cast<std::size_t>(-1));
+    if (st == Daemon::PumpStatus::kDone) break;
+  }
+  d.finalize();
+
+  const DaemonStats s = d.stats();
+  EXPECT_EQ(s.ingest.quarantined, 0u);
+  EXPECT_EQ(audit_daemon_conservation(s), "");
+  EXPECT_GE(s.ingest.offered, 10u);
+  EXPECT_LT(s.ingest.offered, t.size());  // the stop did land mid-pass
+  EXPECT_EQ(s.sim.packets, s.ingest.offered);
 }
 
 TEST(Daemon, AlertTotalsMatchTheCountersTheyAnnounce) {

@@ -4,10 +4,14 @@
 // byte-identity contracts the bench gates enforce at scale.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <thread>
 
+#include "deadline.hpp"
 #include "fault_audit.hpp"
 #include "io/replay.hpp"
 #include "io/spsc_ring.hpp"
@@ -340,6 +344,120 @@ TEST(SpscRing, ThreadedStressConservesEveryElement) {
   }
   producer.join();
   EXPECT_FALSE(ring.try_pop(v));
+}
+
+// Bulk ops against a model queue: partial pushes and pops (the ring takes
+// only what fits, gives only what it holds) interleaved with single-element
+// ops keep FIFO order across many wrap-arounds of a small ring.
+TEST(SpscRing, BulkOpsKeepFifoAcrossWrapAround) {
+  io::SpscRing<int> ring(8);
+  ml::Rng rng(0xB01Cull);
+  std::vector<int> src(12), dst(12);
+  int next_in = 0, next_out = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const int held = next_in - next_out;
+    if (rng.index(2) == 0) {
+      const std::size_t want = rng.index(src.size() + 1);
+      for (std::size_t i = 0; i < want; ++i) src[i] = next_in + static_cast<int>(i);
+      const std::size_t n = ring.try_push_n(std::span<const int>(src.data(), want));
+      ASSERT_EQ(n, std::min<std::size_t>(want, 8 - static_cast<std::size_t>(held)));
+      next_in += static_cast<int>(n);
+    } else if (rng.index(4) == 0) {
+      int v = -1;
+      if (held > 0) {
+        ASSERT_TRUE(ring.try_pop(v));
+        ASSERT_EQ(v, next_out++);
+      } else {
+        ASSERT_FALSE(ring.try_pop(v));
+      }
+    } else {
+      const std::size_t want = rng.index(dst.size() + 1);
+      const std::size_t n = ring.try_pop_n(std::span<int>(dst.data(), want));
+      ASSERT_EQ(n, std::min<std::size_t>(want, static_cast<std::size_t>(held)));
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(dst[i], next_out++);
+    }
+  }
+  EXPECT_GT(next_out, 1000);  // hundreds of wrap-arounds
+}
+
+// Two threads, random bulk sizes, a producer that parks on a full ring: at
+// capacity 2 nearly every push waits, at 1024 the cached cursors carry most
+// calls. Either way every element arrives once, in order.
+TEST(SpscRing, ThreadedBulkStressConservesOrderAndCount) {
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{1024}}) {
+    SCOPED_TRACE(capacity);
+    constexpr std::size_t kN = 300000;
+    io::SpscRing<std::size_t> ring(capacity);
+    run_within_deadline(std::chrono::seconds(60), "bulk stress", [&] {
+      std::thread producer([&] {
+        ml::Rng rng(0x5EEDull + capacity);
+        std::vector<std::size_t> chunk(64);
+        std::size_t next = 0;
+        while (next < kN) {
+          const std::size_t want = std::min(kN - next, 1 + rng.index(chunk.size()));
+          for (std::size_t i = 0; i < want; ++i) chunk[i] = next + i;
+          std::span<const std::size_t> rest(chunk.data(), want);
+          while (!rest.empty()) {
+            const std::size_t n = ring.try_push_n(rest);
+            if (n == 0) ring.wait_while_full();
+            rest = rest.subspan(n);
+          }
+          next += want;
+        }
+        ring.close();
+      });
+      ml::Rng rng(0xC0Full + capacity);
+      std::vector<std::size_t> out(64);
+      std::size_t expected = 0, out_of_order = 0;
+      for (;;) {
+        // Close protocol: an empty pop after observing closed() means the
+        // stream is finished.
+        const bool closed = ring.closed();
+        const std::size_t n =
+            ring.try_pop_n(std::span<std::size_t>(out.data(), 1 + rng.index(out.size())));
+        for (std::size_t i = 0; i < n; ++i) out_of_order += out[i] != expected++ ? 1 : 0;
+        if (n > 0) continue;
+        if (closed) break;
+        std::this_thread::yield();
+      }
+      producer.join();
+      EXPECT_EQ(out_of_order, 0u);
+      EXPECT_EQ(expected, kN);
+    });
+  }
+}
+
+// A producer parked on a full ring is woken by the consumer's next pop —
+// single and bulk — with no timed sleep in the protocol to paper over a
+// lost wake-up.
+TEST(SpscRing, ParkedProducerIsWokenByAPop) {
+  for (const bool bulk : {false, true}) {
+    SCOPED_TRACE(bulk ? "try_pop_n" : "try_pop");
+    io::SpscRing<int> ring(4);
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
+    std::atomic<bool> resumed{false};
+    run_within_deadline(std::chrono::seconds(30), "parked producer", [&] {
+      std::thread producer([&] {
+        ring.wait_while_full();
+        resumed.store(true);
+        EXPECT_TRUE(ring.try_push(4));
+      });
+      // Long past the library's brief spin: the producer is parked now.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      EXPECT_FALSE(resumed.load());
+      int v = -1;
+      if (bulk) {
+        std::array<int, 2> two{};
+        EXPECT_EQ(ring.try_pop_n(std::span<int>(two)), 2u);
+        v = two[0];
+      } else {
+        EXPECT_TRUE(ring.try_pop(v));
+      }
+      EXPECT_EQ(v, 0);
+      producer.join();
+    });
+    EXPECT_TRUE(resumed.load());
+  }
 }
 
 TEST(SpscRing, PumpIsTransparent) {
