@@ -1,17 +1,19 @@
-// Replay-throughput benchmark for the packet-path overhaul (DESIGN.md §4c):
-// replays a mixed benign+attack trace through the pipeline simulator with
-// the linear-scan vs compiled interval-bitmap match engine at 1/2/4/8
-// shards, and writes BENCH_pipeline.json (packets/sec, ns/packet,
+// Replay-throughput benchmark for the packet path (DESIGN.md §4c): replays
+// a mixed benign+attack trace through the pipeline simulator at 1/2/4/8
+// shards and writes BENCH_pipeline.json (packets/sec, ns/packet,
 // allocations/packet) so future PRs have a perf trajectory to regress
-// against. Doubles as a drift gate: it exits non-zero if the two engines'
-// per-packet verdicts diverge, if the sharded replay is not bit-identical
-// across thread counts, or if the steady-state path allocates — which is
-// how the ctest smoke entry catches match-engine regressions.
+// against. Doubles as a drift gate: it exits non-zero if the compiled
+// interval-bitmap engine disagrees with the linear-scan oracle
+// (core::VoteWhitelist) on any PL key or FL finalisation key of the trace,
+// if the sharded replay is not bit-identical across thread counts, or if
+// the steady-state path allocates — which is how the ctest smoke entry
+// catches match-engine regressions.
 //
 //   bench_throughput [--smoke] [--out <path>]
 //
 // --smoke shrinks the trace so the gate stays fast under sanitizers.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -21,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/forest_compile.hpp"
 #include "harness/alloc_counter.hpp"
 #include "ml/rng.hpp"
 #include "obs/metrics.hpp"
@@ -35,9 +36,7 @@ using namespace iguard;
 namespace {
 
 struct RunResult {
-  std::string engine;
   std::size_t shards = 0;
-  std::size_t batch_size = 0;  // 0/1 = scalar per-packet reference path
   double packets_per_sec = 0.0;
   double ns_per_packet = 0.0;
   double allocs_per_packet = 0.0;
@@ -77,8 +76,8 @@ core::VoteWhitelist make_whitelist(const ml::Matrix& features, const rules::Quan
 
 /// Synthetic deployment: `tables` x `rules_per_table` TCAM entries on BOTH
 /// whitelists. The PL table is what every brown/orange packet consults, so
-/// a realistic per-packet rule budget there is what makes the match-engine
-/// comparison meaningful; the FL tables are hit on every finalisation.
+/// a realistic per-packet rule budget there is what the match engine is
+/// timed against; the FL tables are hit on every finalisation.
 struct SyntheticModel {
   rules::Quantizer fl_quant{16}, pl_quant{16};
   core::VoteWhitelist fl, pl;
@@ -120,33 +119,29 @@ struct SyntheticModel {
   }
 };
 
-switchsim::PipelineConfig pipe_config(switchsim::MatchEngine engine, bool record_labels,
-                                      std::size_t batch_size = 0) {
+switchsim::PipelineConfig pipe_config(bool record_labels) {
   switchsim::PipelineConfig cfg;
-  cfg.match_engine = engine;
   cfg.record_labels = record_labels;
-  cfg.batch_size = batch_size;
   // n = 8 keeps finalisations frequent, so the FL tables are exercised on a
   // meaningful share of packets rather than once per long-lived flow.
   cfg.packet_threshold_n = 8;
   return cfg;
 }
 
-RunResult measure(const std::string& name, const traffic::Trace& trace,
-                  const switchsim::DeployedModel& dm, switchsim::MatchEngine engine,
-                  std::size_t shards, std::size_t reps, std::size_t batch_size = 0) {
+RunResult measure(const traffic::Trace& trace, const switchsim::DeployedModel& dm,
+                  std::size_t shards, std::size_t reps) {
   RunResult r;
-  r.engine = name;
   r.shards = shards;
-  r.batch_size = batch_size;
+  switchsim::ReplayConfig rc;
+  rc.shards = shards;
+  // One untimed replay first, so heap first-touch and cold caches are not
+  // charged to whichever config happens to be timed first.
+  (void)switchsim::replay_sharded(trace, pipe_config(false), dm, rc);
   const std::size_t a0 = harness::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t packets = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    switchsim::ReplayConfig rc;
-    rc.shards = shards;
-    const auto out =
-        switchsim::replay_sharded(trace, pipe_config(engine, false, batch_size), dm, rc);
+    const auto out = switchsim::replay_sharded(trace, pipe_config(false), dm, rc);
     packets += out.stats.packets;
   }
   const double elapsed = seconds_since(t0);
@@ -157,10 +152,49 @@ RunResult measure(const std::string& name, const traffic::Trace& trace,
   return r;
 }
 
+/// Engine parity at the lookup level: the compiled whitelists must give the
+/// linear oracle's verdict and per-table vote share for every PL key the
+/// trace presents (one per packet) and every FL finalisation key (the
+/// switch extractor's epochs at the bench's n and delta, single-packet
+/// epochs included).
+struct EngineParity {
+  std::size_t pl_keys = 0;
+  std::size_t fl_keys = 0;
+  bool agree = true;
+};
+
+EngineParity engine_parity(const traffic::Trace& trace, const SyntheticModel& m,
+                           const switchsim::PipelineConfig& cfg) {
+  EngineParity out;
+  const auto check = [&out](const core::VoteWhitelist& lin,
+                            const core::CompiledVoteWhitelist& comp,
+                            std::span<const std::uint32_t> key) {
+    out.agree = out.agree && comp.classify(key) == lin.classify(key) &&
+                comp.malicious_vote_fraction(key) == lin.malicious_vote_fraction(key);
+  };
+  std::array<std::uint32_t, 4> pl_key;
+  for (const auto& p : trace.packets) {
+    const double f[4] = {static_cast<double>(p.ft.dst_port), static_cast<double>(p.ft.proto),
+                         static_cast<double>(p.length), static_cast<double>(p.ttl)};
+    m.pl_quant.quantize_into(f, pl_key);
+    check(m.pl, m.pl_compiled, pl_key);
+  }
+  out.pl_keys = trace.size();
+  const auto fl = switchsim::extract_switch_features(trace, cfg.packet_threshold_n,
+                                                     cfg.idle_timeout_delta, 1);
+  std::array<std::uint32_t, switchsim::kSwitchFlFeatures> fl_key;
+  for (std::size_t i = 0; i < fl.x.rows(); ++i) {
+    m.fl_quant.quantize_into(fl.x.row(i), fl_key);
+    check(m.fl, m.fl_compiled, fl_key);
+  }
+  out.fl_keys = fl.x.rows();
+  return out;
+}
+
 /// Steady-state probe (mirrors tests/test_alloc_path.cpp): allocations per
 /// packet once every flow in play is classified — must be exactly 0.
 std::size_t steady_state_allocs(const switchsim::DeployedModel& dm) {
-  auto cfg = pipe_config(switchsim::MatchEngine::kCompiled, false);
+  auto cfg = pipe_config(false);
   cfg.packet_threshold_n = 4;
   cfg.idle_timeout_delta = 1e6;
   switchsim::Pipeline pipe(cfg, dm);
@@ -177,36 +211,6 @@ std::size_t steady_state_allocs(const switchsim::DeployedModel& dm) {
   for (int i = 0; i < 20000; ++i) {
     p.ts = (ts += 0.0001);
     pipe.process(p, st);
-  }
-  return harness::alloc_count() - before;
-}
-
-/// Same probe through process_batch: after the staging buffers grow to the
-/// batch size once, the batched path must allocate exactly nothing.
-std::size_t steady_state_allocs_batched(const switchsim::DeployedModel& dm) {
-  constexpr std::size_t kBatch = 32;
-  auto cfg = pipe_config(switchsim::MatchEngine::kCompiled, false, kBatch);
-  cfg.packet_threshold_n = 4;
-  cfg.idle_timeout_delta = 1e6;
-  switchsim::Pipeline pipe(cfg, dm);
-  switchsim::SimStats st;
-  std::vector<traffic::Packet> batch(kBatch);
-  double ts = 0.0;
-  auto fill = [&] {
-    for (auto& p : batch) {
-      p.ft = {0x0A000001u, 0x0A000002u, 4242, 443, traffic::kProtoTcp};
-      p.length = 120;
-      p.ts = (ts += 0.0001);
-    }
-  };
-  for (int i = 0; i < 4; ++i) {  // classify the flow and grow the staging
-    fill();
-    pipe.process_batch({batch.data(), batch.size()}, st);
-  }
-  const std::size_t before = harness::alloc_count();
-  for (int i = 0; i < 600; ++i) {
-    fill();
-    pipe.process_batch({batch.data(), batch.size()}, st);
   }
   return harness::alloc_count() - before;
 }
@@ -256,143 +260,33 @@ int main(int argc, char** argv) {
   const auto dm = model.deployed();
 
   // --- correctness gates ----------------------------------------------------
-  // 1. Engine parity: per-packet verdicts must be bit-identical.
-  switchsim::Pipeline lin(pipe_config(switchsim::MatchEngine::kLinear, true), dm);
-  switchsim::Pipeline comp(pipe_config(switchsim::MatchEngine::kCompiled, true), dm);
-  const auto st_lin = lin.run(trace);
-  const auto st_comp = comp.run(trace);
-  const bool engines_agree = st_lin.pred == st_comp.pred &&
-                             st_lin.path_count == st_comp.path_count &&
-                             st_lin.dropped == st_comp.dropped;
-
-  // 1b. Batch parity: the batched staging path must be member-wise identical
-  //     to the scalar reference (pred/truth included), at a batch size that
-  //     leaves a ragged tail on this trace.
-  bool batched_equals_scalar = true;
-  for (const std::size_t b : {32u, 128u}) {
-    switchsim::Pipeline batched(pipe_config(switchsim::MatchEngine::kCompiled, true, b), dm);
-    batched_equals_scalar = batched_equals_scalar && batched.run(trace) == st_comp;
-  }
+  // 1. Engine parity: the compiled engine matches the linear oracle on every
+  //    PL and FL key the trace can present.
+  const EngineParity parity = engine_parity(trace, model, pipe_config(false));
 
   // 2. Shard determinism: same K, different thread counts, same everything.
   switchsim::ReplayConfig det;
   det.shards = 4;
   det.num_threads = 1;
-  const auto d1 = switchsim::replay_sharded(trace, pipe_config(switchsim::MatchEngine::kCompiled, true), dm, det);
+  const auto d1 = switchsim::replay_sharded(trace, pipe_config(true), dm, det);
   det.num_threads = 4;
-  const auto d4 = switchsim::replay_sharded(trace, pipe_config(switchsim::MatchEngine::kCompiled, true), dm, det);
+  const auto d4 = switchsim::replay_sharded(trace, pipe_config(true), dm, det);
   const bool sharded_deterministic =
       d1.stats.pred == d4.stats.pred && d1.stats.dropped == d4.stats.dropped &&
       d1.stats.path_count == d4.stats.path_count;
 
-  // 3. Zero-allocation steady state, scalar and batched (skipped under
-  //    sanitizers, which own the allocator and make the counter blind).
+  // 3. Zero-allocation steady state (skipped under sanitizers, which own
+  //    the allocator and make the counter blind).
   const std::size_t steady_allocs =
-      harness::alloc_counting_active()
-          ? steady_state_allocs(dm) + steady_state_allocs_batched(dm)
-          : 0;
+      harness::alloc_counting_active() ? steady_state_allocs(dm) : 0;
 
   // --- timing sweep ---------------------------------------------------------
   const std::size_t reps = smoke ? 1 : 3;
   std::vector<RunResult> runs;
-  runs.push_back(measure("linear", trace, dm, switchsim::MatchEngine::kLinear, 1, reps));
   for (const std::size_t shards : smoke ? std::vector<std::size_t>{1, 2}
                                         : std::vector<std::size_t>{1, 2, 4, 8}) {
-    runs.push_back(measure("compiled", trace, dm, switchsim::MatchEngine::kCompiled, shards, reps));
+    runs.push_back(measure(trace, dm, shards, reps));
   }
-  const double speedup = runs[1].packets_per_sec / runs[0].packets_per_sec;
-  // Batch-size sweep on the compiled engine (batch 1 = the degenerate scalar
-  // staging, the sweep's own reference), then the batched engine across the
-  // shard counts — batching composes with sharding.
-  for (const std::size_t b : smoke ? std::vector<std::size_t>{1, 32}
-                                   : std::vector<std::size_t>{1, 8, 32, 128}) {
-    runs.push_back(
-        measure("compiled-batched", trace, dm, switchsim::MatchEngine::kCompiled, 1, reps, b));
-  }
-  double best_batched_pps = 0.0;
-  std::size_t best_batch = 0;
-  for (const auto& r : runs) {
-    if (r.engine == "compiled-batched" && r.packets_per_sec > best_batched_pps) {
-      best_batched_pps = r.packets_per_sec;
-      best_batch = r.batch_size;
-    }
-  }
-  if (!smoke) {
-    for (const std::size_t shards : {2u, 4u, 8u}) {
-      runs.push_back(measure("compiled-batched", trace, dm, switchsim::MatchEngine::kCompiled,
-                             shards, reps, 32));
-    }
-  }
-  // Batched-vs-scalar speedup at shards = 1: the per-core claim.
-  const double batched_speedup = best_batched_pps / runs[1].packets_per_sec;
-
-  // --- compiled-forest kernel throughput ------------------------------------
-  // The AOT model path itself (DESIGN.md §4h): a conventional iForest fit on
-  // the benign flow features, quantised, and lowered to the flat SoA kernel.
-  // Keys are the quantised 13-field feature rows tiled to a packet-scale
-  // stream. Three rates: the pointer-chasing QuantizedTree reference walk,
-  // the compiled scalar walk, and the batched tree-major kernel — all three
-  // produce bit-identical sums (asserted here, packet-for-packet).
-  double forest_ref_kps = 0.0, forest_scalar_kps = 0.0, forest_batched_kps = 0.0;
-  bool forest_bit_exact = true;
-  std::size_t forest_nodes = 0;
-  {
-    // Deployment-scale ensemble: the switch carries `tables` trees (the
-    // 5-table vote above), so the kernel is measured at the same width.
-    ml::IsolationForestConfig fcfg;
-    fcfg.num_trees = tables;
-    ml::IsolationForest forest(fcfg);
-    forest.fit(features.x, rng);
-    std::vector<core::QuantizedTree> qtrees;
-    for (const auto& t : forest.trees()) qtrees.push_back(core::quantize_tree(t, model.fl_quant));
-    const auto compiled = core::compile_forest(qtrees);
-    forest_nodes = compiled.node_count();
-
-    const std::size_t width = features.x.cols();
-    const std::size_t rows = features.x.rows();
-    const std::size_t n_keys = smoke ? 4096 : 1 << 17;
-    std::vector<std::uint32_t> keys(n_keys * width);
-    {
-      std::vector<double> row(width);
-      std::vector<std::uint32_t> qrow(width);
-      for (std::size_t i = 0; i < n_keys; ++i) {
-        const auto src = features.x.row(i % rows);
-        row.assign(src.begin(), src.end());
-        model.fl_quant.quantize_into(row, qrow);
-        std::copy(qrow.begin(), qrow.end(), keys.begin() + static_cast<std::ptrdiff_t>(i * width));
-      }
-    }
-    std::vector<double> ref_out(n_keys), scalar_out(n_keys), batched_out(n_keys);
-    const std::size_t kernel_reps = smoke ? 1 : 24;
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < kernel_reps; ++rep) {
-      for (std::size_t i = 0; i < n_keys; ++i) {
-        const std::span<const std::uint32_t> key(keys.data() + i * width, width);
-        double acc = 0.0;
-        for (const auto& t : qtrees) acc += t.payload_at(key);
-        ref_out[i] = acc;
-      }
-    }
-    forest_ref_kps = static_cast<double>(n_keys * kernel_reps) / seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < kernel_reps; ++rep) {
-      for (std::size_t i = 0; i < n_keys; ++i) {
-        scalar_out[i] =
-            compiled.payload_sum({keys.data() + i * width, width});
-      }
-    }
-    forest_scalar_kps = static_cast<double>(n_keys * kernel_reps) / seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < kernel_reps; ++rep) {
-      compiled.score_batch(keys, width, batched_out);
-    }
-    forest_batched_kps = static_cast<double>(n_keys * kernel_reps) / seconds_since(t0);
-    forest_bit_exact = ref_out == scalar_out && scalar_out == batched_out;
-  }
-  // The acceptance ratio: the batched compiled-forest path against the
-  // compiled single-thread pipeline baseline (both in per-second units of
-  // one packet's worth of model evaluation).
-  const double forest_vs_pipeline = forest_batched_kps / runs[1].packets_per_sec;
 
   // --- per-stage observability breakdown ------------------------------------
   // One instrumented 2-shard replay (DESIGN.md §4d): per-path packet counts
@@ -402,23 +296,20 @@ int main(int argc, char** argv) {
   // byte-deterministic (check.sh --obs-smoke asserts so).
   {
     obs::Registry reg;
-    auto ocfg = pipe_config(switchsim::MatchEngine::kCompiled, false, 32);
+    auto ocfg = pipe_config(false);
     ocfg.metrics = &reg;
     switchsim::ReplayConfig rc;
     rc.shards = 2;
     (void)switchsim::replay_sharded(trace, ocfg, dm, rc);
     reg.gauge("host.hardware_threads")
         .set(static_cast<double>(std::thread::hardware_concurrency()));
-    // Engine variant of the instrumented run, so the snapshot is
-    // self-describing (1 = compiled interval-bitmap engine).
-    reg.gauge("replay.batch_size").set(static_cast<double>(ocfg.batch_size));
-    reg.gauge("replay.engine_compiled")
-        .set(ocfg.match_engine == switchsim::MatchEngine::kCompiled ? 1.0 : 0.0);
     std::ofstream of("BENCH_pipeline_obs.json");
     of << obs::to_json(reg.snapshot());
   }
 
   // --- report ---------------------------------------------------------------
+  // Path mix of one unsharded replay: which paths the timings above paid for.
+  const auto st = switchsim::Pipeline(pipe_config(false), dm).run(trace);
   std::ostringstream js;
   js << "{\n"
      << "  \"smoke\": " << json_bool(smoke) << ",\n"
@@ -433,32 +324,22 @@ int main(int argc, char** argv) {
      << "  \"configs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
-    js << "    {\"engine\": \"" << r.engine << "\", \"shards\": " << r.shards
-       << ", \"batch_size\": " << r.batch_size
+    js << "    {\"engine\": \"compiled\", \"shards\": " << r.shards
        << ", \"packets_per_sec\": " << r.packets_per_sec
        << ", \"ns_per_packet\": " << r.ns_per_packet
        << ", \"allocs_per_packet\": " << r.allocs_per_packet << "}"
        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   js << "  ],\n"
-     << "  \"path_counts\": {\"red\": " << st_lin.path(switchsim::Path::kRed)
-     << ", \"brown\": " << st_lin.path(switchsim::Path::kBrown)
-     << ", \"blue\": " << st_lin.path(switchsim::Path::kBlue)
-     << ", \"purple\": " << st_lin.path(switchsim::Path::kPurple)
-     << ", \"orange\": " << st_lin.path(switchsim::Path::kOrange) << "},\n"
-     << "  \"speedup_compiled_vs_linear\": " << speedup << ",\n"
-     << "  \"speedup_batched_vs_scalar\": " << batched_speedup << ",\n"
-     << "  \"best_batch_size\": " << best_batch << ",\n"
-     << "  \"forest_kernel\": {\"trees\": " << tables
-     << ", \"nodes\": " << forest_nodes
-     << ", \"reference_keys_per_sec\": " << forest_ref_kps
-     << ", \"compiled_scalar_keys_per_sec\": " << forest_scalar_kps
-     << ", \"compiled_batched_keys_per_sec\": " << forest_batched_kps
-     << ", \"bit_exact\": " << json_bool(forest_bit_exact)
-     << ", \"batched_vs_pipeline_baseline\": " << forest_vs_pipeline << "},\n"
+     << "  \"path_counts\": {\"red\": " << st.path(switchsim::Path::kRed)
+     << ", \"brown\": " << st.path(switchsim::Path::kBrown)
+     << ", \"blue\": " << st.path(switchsim::Path::kBlue)
+     << ", \"purple\": " << st.path(switchsim::Path::kPurple)
+     << ", \"orange\": " << st.path(switchsim::Path::kOrange) << "},\n"
+     << "  \"parity_keys\": {\"pl\": " << parity.pl_keys << ", \"fl\": " << parity.fl_keys
+     << "},\n"
      << "  \"steady_state_allocs_per_packet\": " << steady_allocs << ",\n"
-     << "  \"compiled_equals_linear\": " << json_bool(engines_agree) << ",\n"
-     << "  \"batched_equals_scalar\": " << json_bool(batched_equals_scalar) << ",\n"
+     << "  \"compiled_equals_linear\": " << json_bool(parity.agree) << ",\n"
      << "  \"sharded_deterministic\": " << json_bool(sharded_deterministic) << "\n"
      << "}\n";
 
@@ -467,16 +348,8 @@ int main(int argc, char** argv) {
   f.close();
   std::cout << js.str();
 
-  if (!engines_agree) {
+  if (!parity.agree) {
     std::cerr << "FAIL: compiled engine verdicts diverge from the linear scan\n";
-    return 1;
-  }
-  if (!batched_equals_scalar) {
-    std::cerr << "FAIL: batched staging path diverges from the scalar reference\n";
-    return 1;
-  }
-  if (!forest_bit_exact) {
-    std::cerr << "FAIL: compiled-forest kernels diverge from the quantised reference walk\n";
     return 1;
   }
   if (!sharded_deterministic) {

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Full verification sweep: build + ctest plain, then under each sanitizer.
-# Usage: scripts/check.sh [--fast|--bench-smoke|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
+# Usage: scripts/check.sh [--fast|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
 #   --fast         plain build/test only (skip the sanitizer matrix)
 #   --bench-smoke  Release build + bench_throughput --smoke: fails if the
-#                  compiled match engine diverges from the linear scan, if
-#                  sharded replay is non-deterministic, if the steady-state
-#                  packet path allocates, or if the JSON artifact is malformed
+#                  compiled match engine diverges from the linear-scan oracle
+#                  on any PL or FL key of the trace, if sharded replay is
+#                  non-deterministic, if the steady-state packet path
+#                  allocates, or if the JSON artifact is malformed
+#   --perf-gate    Release build + full bench_throughput: fails if any
+#                  compiled config's ns/packet is >25% above the committed
+#                  BENCH_pipeline.json row with the same (engine, shards);
+#                  advisory only on a 1-core host
 #   --obs-smoke    Release build + examples/switch_deployment twice: fails if
 #                  any non-timing.* key of the observability snapshot differs
 #                  between the two identical runs (DESIGN.md §4d determinism)
@@ -73,32 +78,28 @@ bench_smoke() {
   local dir="build-check-bench"
   echo "=== bench-smoke (Release) ==="
   warn_if_single_core
-  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" \
-    -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "${dir}" -j "${JOBS}" --target bench_throughput
+  release_build bench_throughput
   local out="${dir}/BENCH_pipeline_smoke.json"
   # The bench itself exits non-zero on engine divergence, non-deterministic
-  # sharding, or steady-state allocations — the drift gates.
-  "${dir}/bench/bench_throughput" --smoke --out "${out}"
+  # sharding, or steady-state allocations — the drift gates. It runs inside
+  # the build dir so its BENCH_pipeline_obs.json never clobbers the
+  # committed artifact.
+  (cd "${dir}" && bench/bench_throughput --smoke --out BENCH_pipeline_smoke.json)
   # Artifact sanity: well-formed JSON with the verdict fields present and
-  # the two engines in agreement.
+  # the compiled engine in agreement with the linear oracle.
   python3 - "${out}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     j = json.load(f)
-for key in ("configs", "speedup_compiled_vs_linear", "speedup_batched_vs_scalar",
-            "forest_kernel", "steady_state_allocs_per_packet",
-            "compiled_equals_linear", "batched_equals_scalar",
-            "sharded_deterministic"):
+for key in ("configs", "parity_keys", "steady_state_allocs_per_packet",
+            "compiled_equals_linear", "sharded_deterministic"):
     assert key in j, f"BENCH_pipeline json missing {key!r}"
 assert j["compiled_equals_linear"] is True, "engine verdicts diverge"
-assert j["batched_equals_scalar"] is True, "batched staging diverges from scalar"
+assert j["parity_keys"]["pl"] > 0 and j["parity_keys"]["fl"] > 0, "engine parity checked no keys"
 assert j["sharded_deterministic"] is True, "sharded replay non-deterministic"
 assert j["steady_state_allocs_per_packet"] == 0, "steady-state path allocates"
-assert j["forest_kernel"]["bit_exact"] is True, "compiled-forest kernels diverge"
 engines = {c["engine"] for c in j["configs"]}
-assert engines == {"linear", "compiled", "compiled-batched"}, f"unexpected engines {engines}"
-assert all("batch_size" in c for c in j["configs"]), "config missing batch_size"
+assert engines == {"compiled"}, f"unexpected engines {engines}"
 print("bench-smoke artifact OK:", sys.argv[1])
 EOF
 }
@@ -109,13 +110,12 @@ perf_gate() {
   warn_if_single_core
   release_build bench_throughput
   local fresh="${dir}/BENCH_pipeline_fresh.json"
-  "${dir}/bench/bench_throughput" --out "${fresh}" >/dev/null
+  (cd "${dir}" && bench/bench_throughput --out BENCH_pipeline_fresh.json >/dev/null)
   # Compare the fresh ns/packet of every compiled config against the
-  # committed BENCH_pipeline.json baseline: >25% regression on any compiled
-  # path fails the gate. On a 1-core host throughput numbers measure
-  # overhead, not the engine (see warn_if_single_core), so the gate only
-  # warns there. The compiled-forest kernel must also hold its acceptance
-  # ratio: batched keys/sec >= 2x the compiled single-thread pipeline rate.
+  # committed BENCH_pipeline.json row with the same (engine, shards): >25%
+  # regression on any of them fails the gate. On a 1-core host throughput
+  # numbers measure overhead, not the engine (see warn_if_single_core), so
+  # the gate only warns there.
   local enforce=1
   [[ "${JOBS}" -le 1 ]] && enforce=0
   python3 - "BENCH_pipeline.json" "${fresh}" "${enforce}" <<'EOF'
@@ -126,27 +126,19 @@ with open(sys.argv[2]) as f:
     fresh = json.load(f)
 enforce = sys.argv[3] == "1"
 def key(c):
-    return (c["engine"], c["shards"], c.get("batch_size", 0))
+    return (c["engine"], c["shards"])
 baseline = {key(c): c for c in base["configs"]}
 failures = []
 for c in fresh["configs"]:
-    if c["engine"] == "linear":
-        continue  # the gate covers the compiled paths only
     b = baseline.get(key(c))
     if b is None:
         continue  # new config with no committed baseline yet
     ratio = c["ns_per_packet"] / b["ns_per_packet"]
-    tag = f'{c["engine"]} shards={c["shards"]} batch={c.get("batch_size", 0)}'
+    tag = f'{c["engine"]} shards={c["shards"]}'
     print(f'{tag}: {b["ns_per_packet"]:.0f} -> {c["ns_per_packet"]:.0f} ns/pkt '
           f'({(ratio - 1) * 100:+.1f}%)')
     if ratio > 1.25:
         failures.append(tag)
-fk = fresh.get("forest_kernel", {})
-ratio2x = fk.get("batched_vs_pipeline_baseline", 0.0)
-print(f'forest kernel: batched {fk.get("compiled_batched_keys_per_sec", 0):.3g} keys/s '
-      f'= {ratio2x:.2f}x the compiled single-thread pipeline baseline')
-if ratio2x < 2.0:
-    failures.append("forest_kernel batched < 2x pipeline baseline")
 if failures:
     msg = "PERF REGRESSION: " + "; ".join(failures)
     if enforce:
@@ -164,18 +156,40 @@ release_build() {
   cmake --build "${dir}" -j "${JOBS}" --target "$@"
 }
 
-obs_smoke() {
+# Determinism smokes (DESIGN.md §4d): each row builds one Release binary,
+# runs it twice in fresh run dirs, lets the mode's artifact check (if any)
+# read both runs, then requires every non-timing.* key of the observability
+# snapshot to be byte-identical across the two. The binaries exit non-zero
+# on their own gate violations, which fails the smoke on the spot.
+#   mode|binary|args|snapshot|marker|instruments|label|needs host.hardware_threads|artifact check
+DETERMINISM_SMOKES=(
+  "obs|examples/switch_deployment||switch_deployment_obs.json|\"pipeline.|pipeline||0|"
+  "swap|bench/bench_model_swap|--smoke --out BENCH_model_swap_smoke.json|BENCH_model_swap_obs.json|.swap.|swap-loop|swap |0|swap_artifact_check"
+  "fleet|bench/bench_fleet|--smoke --out BENCH_fleet_smoke.json|BENCH_fleet_obs.json|.fleet.|fleet|fleet |1|fleet_artifact_check"
+  "ingest|bench/bench_ingest|--smoke --out BENCH_ingest_smoke.json|BENCH_ingest_obs.json|ingest.|ingest|ingest |1|ingest_artifact_check"
+)
+
+determinism_smoke() {
+  local mode="$1" row="" entry
+  for entry in "${DETERMINISM_SMOKES[@]}"; do
+    [[ "${entry%%|*}" == "${mode}" ]] && row="${entry}"
+  done
+  local binary args snapshot marker instruments label need_hw check
+  IFS='|' read -r _ binary args snapshot marker instruments label need_hw check <<< "${row}"
   local dir="build-check-bench"
-  echo "=== obs-smoke (Release) ==="
-  release_build switch_deployment
-  local a="${dir}/obs-run-a" b="${dir}/obs-run-b"
+  echo "=== ${mode}-smoke (Release) ==="
+  warn_if_single_core
+  release_build "${binary##*/}"
+  local a="${dir}/${mode}-run-a" b="${dir}/${mode}-run-b"
   rm -rf "${a}" "${b}"
   mkdir -p "${a}" "${b}"
-  (cd "${a}" && ../examples/switch_deployment >/dev/null)
-  (cd "${b}" && ../examples/switch_deployment >/dev/null)
-  # Wall-clock measurements live under timing.* by policy (DESIGN.md §4d);
-  # every other key must be byte-identical across identical runs.
-  python3 - "${a}/switch_deployment_obs.json" "${b}/switch_deployment_obs.json" <<'EOF'
+  (cd "${a}" && "../${binary}" ${args} >/dev/null)
+  (cd "${b}" && "../${binary}" ${args} >/dev/null)
+  [[ -z "${check}" ]] || "${check}" "${a}" "${b}"
+  # Wall-clock measurements live under timing.* by policy; every other key
+  # must be byte-identical across identical runs.
+  python3 - "${a}/${snapshot}" "${b}/${snapshot}" "${mode}" "${marker}" "${instruments}" \
+    "${label}" "${need_hw}" <<'EOF'
 import json, sys
 def non_timing(path):
     with open(path) as f:
@@ -183,26 +197,19 @@ def non_timing(path):
     j["scalars"] = {k: v for k, v in j["scalars"].items() if not k.startswith("timing.")}
     j["series"] = {k: v for k, v in j.get("series", {}).items() if not k.startswith("timing.")}
     return json.dumps(j, sort_keys=True)
+mode, marker, instruments, label, need_hw = sys.argv[3:]
 a, b = non_timing(sys.argv[1]), non_timing(sys.argv[2])
-assert '"pipeline.' in a, "snapshot has no pipeline instruments"
-assert a == b, "non-timing snapshot keys differ between identical runs"
-print("obs-smoke OK: non-timing snapshot byte-identical across runs")
+assert marker in a, f"snapshot has no {instruments} instruments"
+if need_hw == "1":
+    assert 'host.hardware_threads' in a, "snapshot missing host.hardware_threads"
+assert a == b, f"non-timing {label}snapshot keys differ between identical runs"
+print(f"{mode}-smoke OK: non-timing {label}snapshot byte-identical across runs")
 EOF
 }
 
-swap_smoke() {
-  local dir="build-check-bench"
-  echo "=== swap-smoke (Release) ==="
-  release_build bench_model_swap
-  local a="${dir}/swap-run-a" b="${dir}/swap-run-b"
-  rm -rf "${a}" "${b}"
-  mkdir -p "${a}" "${b}"
-  # The bench itself exits non-zero on any swap-gate violation; run it twice
-  # so the observability artifact can be compared across identical runs.
-  (cd "${a}" && ../bench/bench_model_swap --smoke --out BENCH_model_swap_smoke.json)
-  (cd "${b}" && ../bench/bench_model_swap --smoke --out BENCH_model_swap_smoke.json >/dev/null)
-  # Artifact sanity: verdict fields present and true.
-  python3 - "${a}/BENCH_model_swap_smoke.json" <<'EOF'
+# Swap gate artifact: verdict fields present and true.
+swap_artifact_check() {
+  python3 - "$1/BENCH_model_swap_smoke.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     j = json.load(f)
@@ -219,40 +226,12 @@ assert j["drift_run"]["final_version"] == 1 + j["drift_run"]["publishes"], \
     "version clock out of step with publishes"
 print("swap-smoke artifact OK:", sys.argv[1])
 EOF
-  # Swap metrics obey the §4d policy: wall-clock under timing.*, everything
-  # else byte-deterministic — including the swap.* counters and the
-  # drift miss-rate series published by the swap loop.
-  python3 - "${a}/BENCH_model_swap_obs.json" "${b}/BENCH_model_swap_obs.json" <<'EOF'
-import json, sys
-def non_timing(path):
-    with open(path) as f:
-        j = json.load(f)
-    j["scalars"] = {k: v for k, v in j["scalars"].items() if not k.startswith("timing.")}
-    j["series"] = {k: v for k, v in j.get("series", {}).items() if not k.startswith("timing.")}
-    return json.dumps(j, sort_keys=True)
-a, b = non_timing(sys.argv[1]), non_timing(sys.argv[2])
-assert '.swap.' in a, "snapshot has no swap-loop instruments"
-assert a == b, "non-timing swap snapshot keys differ between identical runs"
-print("swap-smoke OK: non-timing swap snapshot byte-identical across runs")
-EOF
 }
 
-fleet_smoke() {
-  local dir="build-check-bench"
-  echo "=== fleet-smoke (Release) ==="
-  warn_if_single_core
-  release_build bench_fleet
-  local a="${dir}/fleet-run-a" b="${dir}/fleet-run-b"
-  rm -rf "${a}" "${b}"
-  mkdir -p "${a}" "${b}"
-  # The bench itself exits non-zero on any fleet-gate violation (N=1
-  # divergence, thread-count non-determinism, conservation failure); run it
-  # twice so both artifacts can be compared across identical runs.
-  (cd "${a}" && ../bench/bench_fleet --smoke --out BENCH_fleet_smoke.json)
-  (cd "${b}" && ../bench/bench_fleet --smoke --out BENCH_fleet_smoke.json >/dev/null)
-  # Artifact sanity: verdict fields present and true, and every key outside
-  # the top-level "timing" object byte-identical between the two runs.
-  python3 - "${a}/BENCH_fleet_smoke.json" "${b}/BENCH_fleet_smoke.json" <<'EOF'
+# Fleet gate artifact: verdict fields present and true, and every key outside
+# the top-level "timing" object byte-identical between the two runs.
+fleet_artifact_check() {
+  python3 - "$1/BENCH_fleet_smoke.json" "$2/BENCH_fleet_smoke.json" <<'EOF'
 import json, sys
 def load(path):
     with open(path) as f:
@@ -270,42 +249,12 @@ sb = json.dumps({k: v for k, v in b.items() if k != "timing"}, sort_keys=True)
 assert sa == sb, "non-timing BENCH_fleet keys differ between identical runs"
 print("fleet-smoke artifact OK:", sys.argv[1])
 EOF
-  # Fleet metrics obey the §4d policy: wall-clock under timing.*, everything
-  # else byte-deterministic — including the fleet.* aggregates, per-device
-  # control gauges, and the backlog / devices-degraded series.
-  python3 - "${a}/BENCH_fleet_obs.json" "${b}/BENCH_fleet_obs.json" <<'EOF'
-import json, sys
-def non_timing(path):
-    with open(path) as f:
-        j = json.load(f)
-    j["scalars"] = {k: v for k, v in j["scalars"].items() if not k.startswith("timing.")}
-    j["series"] = {k: v for k, v in j.get("series", {}).items() if not k.startswith("timing.")}
-    return json.dumps(j, sort_keys=True)
-a, b = non_timing(sys.argv[1]), non_timing(sys.argv[2])
-assert '.fleet.' in a, "snapshot has no fleet instruments"
-assert 'host.hardware_threads' in a, "snapshot missing host.hardware_threads"
-assert a == b, "non-timing fleet snapshot keys differ between identical runs"
-print("fleet-smoke OK: non-timing fleet snapshot byte-identical across runs")
-EOF
 }
 
-ingest_smoke() {
-  local dir="build-check-bench"
-  echo "=== ingest-smoke (Release) ==="
-  warn_if_single_core
-  release_build bench_ingest
-  local a="${dir}/ingest-run-a" b="${dir}/ingest-run-b"
-  rm -rf "${a}" "${b}"
-  mkdir -p "${a}" "${b}"
-  # The bench itself exits non-zero on any ingest-gate violation (hardened
-  # chain diverging from plain replay, thread-count non-determinism in a
-  # chaos x shed x shard cell, conservation failure, ring opacity); run it
-  # twice so both artifacts can be compared across identical runs.
-  (cd "${a}" && ../bench/bench_ingest --smoke --out BENCH_ingest_smoke.json)
-  (cd "${b}" && ../bench/bench_ingest --smoke --out BENCH_ingest_smoke.json >/dev/null)
-  # Artifact sanity: verdict fields present and true, and every key outside
-  # the top-level "timing" object byte-identical between the two runs.
-  python3 - "${a}/BENCH_ingest_smoke.json" "${b}/BENCH_ingest_smoke.json" <<'EOF'
+# Ingest gate artifact: verdict fields present and true, per-cell
+# conservation, and every key outside "timing" byte-identical across runs.
+ingest_artifact_check() {
+  python3 - "$1/BENCH_ingest_smoke.json" "$2/BENCH_ingest_smoke.json" <<'EOF'
 import json, sys
 def load(path):
     with open(path) as f:
@@ -330,23 +279,6 @@ sa = json.dumps({k: v for k, v in a.items() if k != "timing"}, sort_keys=True)
 sb = json.dumps({k: v for k, v in b.items() if k != "timing"}, sort_keys=True)
 assert sa == sb, "non-timing BENCH_ingest keys differ between identical runs"
 print("ingest-smoke artifact OK:", sys.argv[1])
-EOF
-  # Ingest metrics obey the §4d policy: wall-clock under timing.*, everything
-  # else byte-deterministic — including the ingest.* counters routed into the
-  # instrumented run's observability snapshot.
-  python3 - "${a}/BENCH_ingest_obs.json" "${b}/BENCH_ingest_obs.json" <<'EOF'
-import json, sys
-def non_timing(path):
-    with open(path) as f:
-        j = json.load(f)
-    j["scalars"] = {k: v for k, v in j["scalars"].items() if not k.startswith("timing.")}
-    j["series"] = {k: v for k, v in j.get("series", {}).items() if not k.startswith("timing.")}
-    return json.dumps(j, sort_keys=True)
-a, b = non_timing(sys.argv[1]), non_timing(sys.argv[2])
-assert 'ingest.' in a, "snapshot has no ingest instruments"
-assert 'host.hardware_threads' in a, "snapshot missing host.hardware_threads"
-assert a == b, "non-timing ingest snapshot keys differ between identical runs"
-print("ingest-smoke OK: non-timing ingest snapshot byte-identical across runs")
 EOF
 }
 
@@ -495,26 +427,13 @@ if [[ "${1:-}" == "--perf-gate" ]]; then
   echo "=== perf gate passed ==="
   exit 0
 fi
-if [[ "${1:-}" == "--obs-smoke" ]]; then
-  obs_smoke
-  echo "=== obs smoke passed ==="
-  exit 0
-fi
-if [[ "${1:-}" == "--swap-smoke" ]]; then
-  swap_smoke
-  echo "=== swap smoke passed ==="
-  exit 0
-fi
-if [[ "${1:-}" == "--fleet-smoke" ]]; then
-  fleet_smoke
-  echo "=== fleet smoke passed ==="
-  exit 0
-fi
-if [[ "${1:-}" == "--ingest-smoke" ]]; then
-  ingest_smoke
-  echo "=== ingest smoke passed ==="
-  exit 0
-fi
+for mode in obs swap fleet ingest; do
+  if [[ "${1:-}" == "--${mode}-smoke" ]]; then
+    determinism_smoke "${mode}"
+    echo "=== ${mode} smoke passed ==="
+    exit 0
+  fi
+done
 if [[ "${1:-}" == "--fuzz-smoke" ]]; then
   fuzz_smoke
   echo "=== fuzz smoke passed ==="

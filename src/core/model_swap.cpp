@@ -4,14 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/forest_compile.hpp"
-
 namespace iguard::core {
 
 std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t version, VoteWhitelist fl,
                                                 rules::Quantizer fl_q, VoteWhitelist pl,
-                                                rules::Quantizer pl_q, ml::CompiledForest forest,
-                                                std::vector<std::int32_t> ae_thresholds_q16) {
+                                                rules::Quantizer pl_q) {
   auto b = std::make_shared<ModelBundle>();
   b->version = version;
   b->fl = std::move(fl);
@@ -20,8 +17,6 @@ std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t version, VoteWhite
   b->pl_q = std::move(pl_q);
   b->fl_compiled = CompiledVoteWhitelist(b->fl);
   if (b->has_pl()) b->pl_compiled = CompiledVoteWhitelist(b->pl);
-  b->forest = std::move(forest);
-  b->ae_thresholds_q16 = std::move(ae_thresholds_q16);
   return b;
 }
 
@@ -212,10 +207,8 @@ void DriftDetector::reset() {
 
 ModelRebuilder recompile_rebuilder() {
   return [](const RebuildInput& in) {
-    // Adopting staging extensions changes only the rules; the last distilled
-    // forest (and teacher thresholds) remain the deployed model artifacts.
     return build_bundle(in.new_version, *in.staging_fl, in.current->fl_q, in.current->pl,
-                        in.current->pl_q, in.current->forest, in.current->ae_thresholds_q16);
+                        in.current->pl_q);
   };
 }
 
@@ -237,11 +230,8 @@ ModelRebuilder distill_rebuilder(const AeEnsemble& teacher, GuidedForestConfig f
     // not admit feature values the drifted benign traffic never produced.
     wcfg.clip = support_clip(*in.recent, in.current->fl_q);
     VoteWhitelist fresh = compile_per_tree(forest, in.current->fl_q, wcfg);
-    // The refreshed forest is also AOT-compiled into the bundle so the flat
-    // kernel hitless-swaps in lockstep with the whitelist it distilled.
     return build_bundle(in.new_version, std::move(fresh), in.current->fl_q, in.current->pl,
-                        in.current->pl_q, compile_forest(forest, in.current->fl_q),
-                        quantize_ae_thresholds(teacher));
+                        in.current->pl_q);
   };
 }
 

@@ -30,7 +30,6 @@
 #include "core/ae_ensemble.hpp"
 #include "core/guided_iforest.hpp"
 #include "core/whitelist.hpp"
-#include "ml/compiled_forest.hpp"
 #include "rules/quantize.hpp"
 
 namespace iguard::core {
@@ -48,29 +47,16 @@ struct ModelBundle {
   rules::Quantizer pl_q{16};
   CompiledVoteWhitelist fl_compiled;
   CompiledVoteWhitelist pl_compiled;
-  /// AOT-compiled flat forest kernel (DESIGN.md §4h) of the guided forest
-  /// this bundle's FL whitelist was distilled from — the artifact batched
-  /// scoring and P4 emission consume. Empty when the deployment carries
-  /// rules only.
-  ml::CompiledForest forest;
-  /// AE teacher decision thresholds T_u in Q16.16 (forest_compile.hpp);
-  /// empty when no teacher artifact rides along.
-  std::vector<std::int32_t> ae_thresholds_q16;
 
   bool has_pl() const { return !pl.tables.empty(); }
-  bool has_forest() const { return !forest.empty(); }
 };
 
 /// Assemble + compile a bundle. The whitelists are taken by value (the
 /// bundle must own its rules: a published version may outlive whatever
-/// staging copy produced it); both compiled engines are built here. The
-/// optional forest/threshold artifacts are adopted as-is (they are already
-/// compiled forms — see core/forest_compile.hpp).
+/// staging copy produced it); both compiled engines are built here.
 std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t version, VoteWhitelist fl,
                                                 rules::Quantizer fl_q, VoteWhitelist pl = {},
-                                                rules::Quantizer pl_q = rules::Quantizer{16},
-                                                ml::CompiledForest forest = {},
-                                                std::vector<std::int32_t> ae_thresholds_q16 = {});
+                                                rules::Quantizer pl_q = rules::Quantizer{16});
 
 /// Atomic publication point for ModelBundles — the epoch/RCU handle sharded
 /// pipelines read per packet. Readers register once (control-plane time),

@@ -137,14 +137,6 @@ struct CompiledVoteWhitelist {
   int classify(std::span<const std::uint32_t> key) const;
   /// Fraction of tables *not* matching (malicious vote share).
   double malicious_vote_fraction(std::span<const std::uint32_t> key) const;
-
-  /// Batched vote: `keys` holds out.size() row-major keys of `width` fields;
-  /// out[i] = classify(key_i), bit-identical. Each table's batched lookup
-  /// amortises its interval searches across the batch, and keys whose vote
-  /// is already decided are skip-masked out of later tables. No heap
-  /// allocation.
-  void classify_batch(std::span<const std::uint32_t> keys, std::size_t width,
-                      std::span<int> out) const;
 };
 
 /// Per-tree compilation of iGuard's distilled forest: tree t's table holds

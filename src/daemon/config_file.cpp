@@ -182,21 +182,6 @@ std::string apply(std::string_view key, std::string_view val, DaemonConfig& c) {
     c.pipeline.blacklist_capacity = static_cast<std::size_t>(u);
     return {};
   }
-  if (key == "pipeline.batch_size") {
-    if (!parse_u64(val, u)) return bad("uint");
-    c.pipeline.batch_size = static_cast<std::size_t>(u);
-    return {};
-  }
-  if (key == "pipeline.match_engine") {
-    if (val == "linear") {
-      c.pipeline.match_engine = switchsim::MatchEngine::kLinear;
-    } else if (val == "compiled") {
-      c.pipeline.match_engine = switchsim::MatchEngine::kCompiled;
-    } else {
-      return bad("linear|compiled");
-    }
-    return {};
-  }
   if (key == "pipeline.eviction") {
     if (val == "fifo") {
       c.pipeline.eviction = switchsim::EvictionPolicy::kFifo;

@@ -64,8 +64,6 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
   if (pn.blacklist_capacity != pc.blacklist_capacity)
     return changed("pipeline.blacklist_capacity");
   if (pn.eviction != pc.eviction) return changed("pipeline.eviction");
-  if (pn.match_engine != pc.match_engine) return changed("pipeline.match_engine");
-  if (pn.batch_size != pc.batch_size) return changed("pipeline.batch_size");
   if (pn.swap.enabled != pc.swap.enabled) return changed("pipeline.swap.enabled");
   if (pn.swap.publish_after_extensions != pc.swap.publish_after_extensions)
     return changed("pipeline.swap.publish_after_extensions");
@@ -125,6 +123,9 @@ std::string validate_config(const DaemonConfig& cfg) {
   }
   if (std::string err = io::validate_config(cfg.overload); !err.empty()) {
     return "overload." + err;
+  }
+  if (std::string err = switchsim::validate_config(cfg.pipeline); !err.empty()) {
+    return "pipeline." + err;
   }
   if (std::string err = switchsim::validate_config(cfg.pipeline.control); !err.empty()) {
     return "pipeline.control." + err;

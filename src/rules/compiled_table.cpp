@@ -13,10 +13,6 @@ constexpr std::uint64_t kDomainEnd = 1ull << 32;  // one past the largest key
 /// 13 (FL) fields wide. Wider rules fall back to the linear scan.
 constexpr std::size_t kMaxFields = 64;
 
-/// Keys per batched inner block: bounds the stack scratch (row pointers are
-/// kChunk × kMaxBatchWidth) and keeps per-key cursors in L1.
-constexpr std::size_t kChunk = 64;
-
 }  // namespace
 
 void CompiledRuleTable::compile(const std::vector<RangeRule>& sorted_rules) {
@@ -124,161 +120,6 @@ int CompiledRuleTable::match_index(std::span<const std::uint32_t> key) const {
     return -1;
   }
   return -1;
-}
-
-void CompiledRuleTable::match_index_batch(std::span<const std::uint32_t> keys,
-                                          std::size_t width, std::span<int> out,
-                                          const std::uint8_t* skip) const {
-  const std::size_t n = out.size();
-  if (keys.size() < n * width) return;  // malformed: leave out untouched
-  const WidthGroup* grp = nullptr;
-  for (const auto& g : groups_) {
-    if (g.width == width) {
-      grp = &g;
-      break;
-    }
-  }
-  if (grp == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip == nullptr || skip[i] == 0) out[i] = -1;
-    }
-    return;
-  }
-  const WidthGroup& g = *grp;
-  if (width == 0 || width > kMaxBatchWidth) {
-    // Degenerate or too wide for the stack scratch: per-key scalar lookups
-    // (still bit-exact; kMaxBatchWidth covers the FL=13 / PL=4 deployments).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip == nullptr || skip[i] == 0) {
-        out[i] = match_index(keys.subspan(i * width, width));
-      }
-    }
-    return;
-  }
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    const std::uint64_t* rows[kChunk * kMaxBatchWidth];
-    std::uint8_t dead[kChunk];
-    // Field-major interval resolution: field f's bounds array is reused by
-    // every key of the chunk before the next field is touched, which is
-    // where the batched path amortises the binary-search cache traffic.
-    for (std::size_t i = 0; i < m; ++i) {
-      dead[i] = (skip != nullptr && skip[base + i] != 0) ? 2 : 0;
-    }
-    for (std::size_t f = 0; f < width; ++f) {
-      const FieldIndex& fi = g.fields[f];
-      const std::uint32_t* b = fi.bounds.data();
-      const std::size_t bn = fi.bounds.size();
-      for (std::size_t i = 0; i < m; ++i) {
-        if (dead[i] != 0) continue;
-        const std::uint32_t v = keys[(base + i) * width + f];
-        const std::size_t iv =
-            static_cast<std::size_t>(std::upper_bound(b, b + bn, v) - b) - 1;
-        if (fi.covered[iv] == 0) {
-          dead[i] = 1;  // provable miss: skip this key's remaining fields
-          continue;
-        }
-        rows[i * width + f] = fi.masks.data() + iv * g.words;
-      }
-    }
-    // Per-key AND sweep, identical to the scalar priority encoder.
-    for (std::size_t i = 0; i < m; ++i) {
-      if (dead[i] == 2) continue;  // caller-skipped: leave out untouched
-      if (dead[i] == 1) {
-        out[base + i] = -1;
-        continue;
-      }
-      const std::uint64_t* const* r = rows + i * width;
-      int found = -1;
-      for (std::size_t w = 0; w < g.words; ++w) {
-        std::uint64_t acc = r[0][w];
-        for (std::size_t f = 1; f < width && acc != 0; ++f) acc &= r[f][w];
-        if (acc != 0) {
-          const std::size_t local =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(acc));
-          found = static_cast<int>(g.to_global[local]);
-          break;
-        }
-      }
-      out[base + i] = found;
-    }
-  }
-}
-
-void CompiledRuleTable::matches_any_batch(std::span<const std::uint32_t> keys,
-                                          std::size_t width, std::span<std::uint8_t> out,
-                                          const std::uint8_t* skip) const {
-  const std::size_t n = out.size();
-  if (keys.size() < n * width) return;
-  const WidthGroup* grp = nullptr;
-  for (const auto& g : groups_) {
-    if (g.width == width) {
-      grp = &g;
-      break;
-    }
-  }
-  if (grp == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip == nullptr || skip[i] == 0) out[i] = 0;
-    }
-    return;
-  }
-  const WidthGroup& g = *grp;
-  if (width == 0 || width > kMaxBatchWidth) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip == nullptr || skip[i] == 0) {
-        out[i] = matches_any(keys.subspan(i * width, width)) ? 1 : 0;
-      }
-    }
-    return;
-  }
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    const std::uint64_t* rows[kChunk * kMaxBatchWidth];
-    std::uint8_t dead[kChunk];
-    for (std::size_t i = 0; i < m; ++i) {
-      dead[i] = (skip != nullptr && skip[base + i] != 0) ? 2 : 0;
-    }
-    for (std::size_t f = 0; f < width; ++f) {
-      const FieldIndex& fi = g.fields[f];
-      const std::uint32_t* b = fi.bounds.data();
-      const std::size_t bn = fi.bounds.size();
-      for (std::size_t i = 0; i < m; ++i) {
-        if (dead[i] != 0) continue;
-        const std::uint32_t v = keys[(base + i) * width + f];
-        const std::size_t iv =
-            static_cast<std::size_t>(std::upper_bound(b, b + bn, v) - b) - 1;
-        if (fi.covered[iv] == 0) {
-          dead[i] = 1;
-          continue;
-        }
-        rows[i * width + f] = fi.masks.data() + iv * g.words;
-      }
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (dead[i] == 2) continue;
-      if (dead[i] == 1) {
-        out[base + i] = 0;
-        continue;
-      }
-      const std::uint64_t* const* r = rows + i * width;
-      std::uint8_t hit = 0;
-      for (std::size_t w = 0; w < g.words && hit == 0; ++w) {
-        std::uint64_t acc = r[0][w];
-        for (std::size_t f = 1; f < width && acc != 0; ++f) acc &= r[f][w];
-        hit = acc != 0 ? 1 : 0;
-      }
-      out[base + i] = hit;
-    }
-  }
-}
-
-void CompiledRuleTable::classify_batch(std::span<const std::uint32_t> keys, std::size_t width,
-                                       std::span<int> out) const {
-  match_index_batch(keys, width, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = out[i] >= 0 ? rules_[static_cast<std::size_t>(out[i])].label : 1;
-  }
 }
 
 }  // namespace iguard::rules

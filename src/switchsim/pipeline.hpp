@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -50,17 +49,11 @@ struct DeployedModel {
   /// Optional pre-compiled interval-bitmap engines for the two whitelists.
   /// Compilation is a control-plane operation (like TCAM programming): doing
   /// it once here and sharing the read-only result lets sharded replay spin
-  /// up K pipelines without K redundant compilations. When null and the
-  /// match engine is kCompiled, each Pipeline compiles its own copy.
+  /// up K pipelines without K redundant compilations. When null, each
+  /// Pipeline compiles its own copy.
   const core::CompiledVoteWhitelist* fl_compiled = nullptr;
   const core::CompiledVoteWhitelist* pl_compiled = nullptr;
 };
-
-/// Whitelist lookup strategy. Both are bit-identical (the property tests
-/// assert so); kCompiled is the interval-bitmap engine of
-/// rules/compiled_table.hpp — O(fields log rules) per lookup and
-/// allocation-free, which is what lets replay run at line rate.
-enum class MatchEngine { kLinear, kCompiled };
 
 struct PipelineConfig {
   std::size_t packet_threshold_n = 32;  // the paper's n
@@ -68,21 +61,10 @@ struct PipelineConfig {
   std::size_t flow_slots = 4096;        // per hash table
   std::size_t blacklist_capacity = 4096;
   EvictionPolicy eviction = EvictionPolicy::kFifo;
-  MatchEngine match_engine = MatchEngine::kCompiled;
   /// Record per-packet pred/truth vectors in SimStats. The confusion
   /// counters (tp/fp/tn/fn) accumulate either way; turning this off keeps
   /// a 100M-packet replay from holding ~200 MB of per-packet labels.
   bool record_labels = true;
-  /// Packets staged per batch by run()/process_batch(). 0 or 1 keeps the
-  /// scalar per-packet path (the reference). Larger values precompute each
-  /// batch's PL verdicts up front — columnar quantisation plus one batched
-  /// whitelist vote per batch instead of per-packet scalar lookups — then
-  /// feed the sequential per-packet state machine the precomputed hints.
-  /// Verdicts are bit-identical at any batch size (the PL verdict is a pure
-  /// function of the packet and the bound model; a mid-batch model swap
-  /// invalidates and recomputes the remaining hints). Staging buffers are
-  /// sized once, so the steady state allocates nothing per packet.
-  std::size_t batch_size = 0;
   /// Control-channel model; defaults are lockstep-equivalent (zero install
   /// latency, unbounded channel, every fault disabled).
   ControlPlaneConfig control{};
@@ -103,6 +85,13 @@ struct PipelineConfig {
   /// with one pin() per packet.
   SwapConfig swap{};
 };
+
+/// Empty string when `cfg` is well-formed, otherwise "field: problem" for
+/// the first violated invariant: flow_slots >= 1, and idle_timeout_delta
+/// finite with delta * 1e6 below 2^64 (it is converted to integer µs; a
+/// value <= 0 means no idle timeout). Pipeline's constructor throws
+/// ConfigError on a non-empty result.
+std::string validate_config(const PipelineConfig& cfg);
 
 enum class Path : std::size_t { kRed = 0, kBrown, kBlue, kOrange, kPurple, kGreen };
 
@@ -146,6 +135,8 @@ struct SimStats {
 
 class Pipeline {
  public:
+  /// Throws ConfigError on an invalid `cfg` (validate_config), and
+  /// std::invalid_argument when the model carries no FL rules.
   Pipeline(const PipelineConfig& cfg, const DeployedModel& model);
 
   /// Process one packet; returns the verdict (1 = drop as malicious). The
@@ -153,17 +144,8 @@ class Pipeline {
   /// then are visible to this packet's blacklist lookup.
   int process(const traffic::Packet& p, SimStats& stats);
 
-  /// Process a contiguous batch: PL verdicts for the whole span are
-  /// precomputed through the columnar quantizer and the batched whitelist
-  /// vote, then each packet runs the normal sequential state machine with
-  /// its hint. Bit-identical to process() in a loop (including across model
-  /// swaps mid-batch); allocation-free once the staging buffers have grown
-  /// to the batch size.
-  void process_batch(std::span<const traffic::Packet> pkts, SimStats& stats);
-
-  /// Replay a whole trace (in cfg.batch_size chunks when > 1); drains the
-  /// control channel at the end so the controller counters cover every
-  /// digest the trace produced.
+  /// Replay a whole trace; drains the control channel at the end so the
+  /// controller counters cover every digest the trace produced.
   SimStats run(const traffic::Trace& trace);
 
   /// End-of-stream epilogue for callers that feed packets incrementally
@@ -190,14 +172,6 @@ class Pipeline {
 
  private:
   int classify_pl(const traffic::Packet& p) const;
-  /// process() with an optional precomputed PL verdict (-1 = none). The hint
-  /// is trusted only while hints_stale_ is false: a swap rebind inside this
-  /// very call marks the batch's hints stale and falls back to the scalar
-  /// lookup, so a packet is never classified by a model it isn't bound to.
-  int process_hinted(const traffic::Packet& p, SimStats& stats, int pl_hint);
-  /// Fill batch_hints_[from..) with classify_pl of each packet, evaluated
-  /// against the currently bound model via the columnar/batched kernels.
-  void compute_pl_hints(std::span<const traffic::Packet> pkts, std::size_t from);
   void finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, IntFlowState& st,
                      SimStats& stats);
   /// Re-target the model/engine pointers at a newly pinned bundle version.
@@ -217,9 +191,9 @@ class Pipeline {
 
   PipelineConfig cfg_;
   DeployedModel model_;
-  /// Interval-bitmap engines used when cfg_.match_engine == kCompiled. The
-  /// engine pointers refer either to the model's shared pre-compiled tables
-  /// or to the locally-owned compilations below (built at construction when
+  /// Interval-bitmap engines every lookup goes through. The pointers refer
+  /// to the bound bundle's engines, the model's shared pre-compiled tables,
+  /// or the locally-owned compilations below (built at construction when
   /// the model does not share any).
   core::CompiledVoteWhitelist fl_owned_, pl_owned_;
   const core::CompiledVoteWhitelist* fl_engine_ = nullptr;
@@ -232,16 +206,6 @@ class Pipeline {
   /// when a pin returns a new version.
   std::unique_ptr<SwapLoop> swap_;
   const core::ModelBundle* bound_ = nullptr;
-  /// Batch staging (cfg_.batch_size > 1): row-major PL feature rows, their
-  /// columnar-quantised keys, and the per-packet verdict hints. Grown to the
-  /// batch size on first use, reused forever after — zero steady-state
-  /// allocation on the batched path.
-  std::vector<double> batch_rows_;
-  std::vector<std::uint32_t> batch_keys_;
-  std::vector<int> batch_hints_;
-  /// Set by bind_bundle: precomputed hints describe a retired model version
-  /// and must be recomputed before the next packet consumes one.
-  bool hints_stale_ = false;
   /// Bi-hash keys of flows the data plane has classified malicious, with
   /// which leaked packets (admitted after classification) are detected.
   std::unordered_set<std::uint64_t> malicious_classified_;

@@ -13,7 +13,6 @@
 
 #include "daemon/daemon.hpp"
 #include "harness/alloc_counter.hpp"
-#include "ml/compiled_forest.hpp"
 #include "switchsim/pipeline.hpp"
 
 namespace iguard::switchsim {
@@ -79,7 +78,6 @@ TEST_F(AllocPathTest, SteadyStatePacketsAllocateNothing) {
   cfg.packet_threshold_n = 4;
   cfg.idle_timeout_delta = 1e6;  // no timeouts during the probe
   cfg.record_labels = false;     // per-packet vectors off (the 200 MB knob)
-  cfg.match_engine = MatchEngine::kCompiled;
   const auto dm = model();
   Pipeline pipe(cfg, dm);
   SimStats st;
@@ -138,7 +136,6 @@ TEST_F(AllocPathTest, SteadyStateStaysAllocationFreeWithMetricsEnabled) {
   cfg.packet_threshold_n = 4;
   cfg.idle_timeout_delta = 1e6;
   cfg.record_labels = false;
-  cfg.match_engine = MatchEngine::kCompiled;
   cfg.metrics = &metrics;
   const auto dm = model();
   Pipeline pipe(cfg, dm);
@@ -180,7 +177,6 @@ TEST_F(AllocPathTest, SwapEnabledSteadyStateAllocatesNothing) {
   cfg.packet_threshold_n = 4;
   cfg.idle_timeout_delta = 1e6;
   cfg.record_labels = false;
-  cfg.match_engine = MatchEngine::kCompiled;
   cfg.swap.enabled = true;
   cfg.swap.drift.enabled = false;
   cfg.swap.publish_after_extensions = 0;  // no publishes during the probe
@@ -203,93 +199,6 @@ TEST_F(AllocPathTest, SwapEnabledSteadyStateAllocatesNothing) {
   EXPECT_EQ(delta, 0u) << "swap-enabled steady state allocated " << delta << " times";
   ASSERT_NE(pipe.swap_loop(), nullptr);
   EXPECT_EQ(pipe.swap_loop()->handle().version(), 1u);
-}
-
-TEST_F(AllocPathTest, BatchedSteadyStateAllocatesNothing) {
-  if (!harness::alloc_counting_active()) {
-    GTEST_SKIP() << "sanitizer build owns the allocator";
-  }
-  // The batched path stages PL hints through member buffers sized on first
-  // use; after one warm-up batch, process_batch must be as heap-silent as
-  // the scalar loop — columnar quantisation, the batched whitelist vote,
-  // and the per-packet state machine all run on preallocated storage.
-  PipelineConfig cfg;
-  cfg.packet_threshold_n = 4;
-  cfg.idle_timeout_delta = 1e6;
-  cfg.record_labels = false;
-  cfg.match_engine = MatchEngine::kCompiled;
-  cfg.batch_size = 32;
-  const auto dm = model();
-  Pipeline pipe(cfg, dm);
-  SimStats st;
-  double ts = 0.0;
-  std::vector<traffic::Packet> batch;
-  // Warm-up: classify a benign and a malicious flow, then run one batch so
-  // the staging buffers grow to their steady-state size.
-  for (int i = 0; i < 4; ++i) pipe.process(mk(ts += 0.001, 100, 1, 1000), st);
-  for (int i = 0; i < 4; ++i) pipe.process(mk(ts += 0.001, 1400, 2, 2000, true), st);
-  ASSERT_EQ(st.flows_classified, 2u);
-  for (int i = 0; i < 32; ++i) {
-    batch.push_back(mk(ts += 0.0001, 100, static_cast<std::uint32_t>(20 + i % 4),
-                       static_cast<std::uint16_t>(5000 + i % 4)));
-  }
-  pipe.process_batch(batch, st);
-
-  const std::size_t before = harness::alloc_count();
-  for (int round = 0; round < 300; ++round) {
-    for (int i = 0; i < 32; ++i) {
-      // Brown traffic on warm sub-threshold flows plus red on the
-      // blacklisted one: every batched steady-state path.
-      batch[static_cast<std::size_t>(i)] =
-          i % 8 == 7 ? mk(ts += 0.0001, 1400, 2, 2000, true)
-                     : mk(ts += 0.0001, 100, static_cast<std::uint32_t>(20 + i % 4),
-                          static_cast<std::uint16_t>(5000 + i % 4));
-    }
-    pipe.process_batch(batch, st);
-  }
-  const std::size_t delta = harness::alloc_count() - before;
-  EXPECT_EQ(delta, 0u) << "batched steady state allocated " << delta << " times";
-  EXPECT_GT(st.path(Path::kRed), 0u);
-  EXPECT_GT(st.path(Path::kBrown), 0u);
-}
-
-TEST_F(AllocPathTest, ForestAndTableBatchKernelsAllocateNothing) {
-  if (!harness::alloc_counting_active()) {
-    GTEST_SKIP() << "sanitizer build owns the allocator";
-  }
-  // The compiled-forest score/vote kernels and the batched rule lookups are
-  // the primitives under the batched pipeline; they must be allocation-free
-  // on their own, not just as observed through process_batch.
-  core::QuantizedTree qt;
-  qt.nodes.resize(3);
-  qt.nodes[0] = {0, 500, 1, 2, 0.0};
-  qt.nodes[1] = {-1, 0, -1, -1, 0.0};
-  qt.nodes[2] = {-1, 0, -1, -1, 1.0};
-  ml::CompiledForest cf;
-  for (int t = 0; t < 5; ++t) cf.add_tree(qt.nodes, qt.root);
-
-  const std::size_t n = 128;
-  std::vector<std::uint32_t> keys(n * 4);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<std::uint32_t>((i * 131) % 1000);
-  }
-  std::vector<double> scores(n);
-  std::vector<std::int64_t> scores_q16(n);
-  std::vector<int> votes(n);
-  std::vector<std::uint8_t> any(n);
-  const core::CompiledVoteWhitelist comp(fl_);
-
-  std::vector<std::uint32_t> fl_keys(n * kSwitchFlFeatures, 1);
-  std::vector<int> fl_votes(n);
-  const std::size_t before = harness::alloc_count();
-  for (int round = 0; round < 50; ++round) {
-    cf.score_batch(keys, 4, scores);
-    cf.score_batch_q16(keys, 4, scores_q16);
-    cf.predict_majority_batch(keys, 4, votes);
-    comp.tables[0].matches_any_batch(fl_keys, kSwitchFlFeatures, any);
-    comp.classify_batch(fl_keys, kSwitchFlFeatures, fl_votes);
-  }
-  EXPECT_EQ(harness::alloc_count() - before, 0u);
 }
 
 TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {

@@ -145,101 +145,6 @@ TEST(CompiledRuleTable, DomainEdgeRanges) {
   }
 }
 
-TEST(CompiledRuleTable, BatchPropertyBitExactWithScalar) {
-  // The batched entry points must reproduce per-key scalar lookups exactly:
-  // random tables, batch sizes straddling the internal 64-key chunk, keys
-  // spanning in-domain / out-of-domain / endpoint-adjacent values.
-  ml::Rng rng(0xBA7C4ull);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t width = 1 + rng.index(5);
-    const std::uint32_t domain = trial % 2 == 0 ? 15u : 255u;
-    const std::size_t n_rules = rng.index(90);  // >64 rules crosses mask words
-    std::vector<RangeRule> rules;
-    for (std::size_t i = 0; i < n_rules; ++i) rules.push_back(random_rule(rng, width, domain));
-    const CompiledRuleTable comp(rules);
-
-    const std::size_t n = 1 + rng.index(150);
-    std::vector<std::uint32_t> keys(n * width);
-    for (auto& v : keys) v = static_cast<std::uint32_t>(rng.integer(0, 2 * domain));
-    std::vector<int> got_idx(n, -7);
-    std::vector<std::uint8_t> got_any(n, 7);
-    std::vector<int> got_cls(n, -7);
-    comp.match_index_batch(keys, width, got_idx);
-    comp.matches_any_batch(keys, width, got_any);
-    comp.classify_batch(keys, width, got_cls);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const std::uint32_t> key(keys.data() + i * width, width);
-      ASSERT_EQ(got_idx[i], comp.match_index(key));
-      ASSERT_EQ(got_any[i], comp.matches_any(key) ? 1 : 0);
-      ASSERT_EQ(got_cls[i], comp.classify(key));
-    }
-
-    // Skip mask: marked keys must be left untouched, unmarked ones exact.
-    std::vector<std::uint8_t> skip(n);
-    for (auto& s : skip) s = static_cast<std::uint8_t>(rng.index(2));
-    std::vector<int> skipped_idx(n, -7);
-    std::vector<std::uint8_t> skipped_any(n, 7);
-    comp.match_index_batch(keys, width, skipped_idx, skip.data());
-    comp.matches_any_batch(keys, width, skipped_any, skip.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const std::uint32_t> key(keys.data() + i * width, width);
-      ASSERT_EQ(skipped_idx[i], skip[i] != 0 ? -7 : comp.match_index(key));
-      ASSERT_EQ(skipped_any[i], skip[i] != 0 ? 7 : (comp.matches_any(key) ? 1 : 0));
-    }
-  }
-}
-
-TEST(CompiledRuleTable, BatchNoGroupAndWideWidthFallbacks) {
-  // Width with no rule group: every out slot is a miss. Width past
-  // kMaxBatchWidth: the per-key scalar fallback must still be exact.
-  std::vector<RangeRule> rules{{{{0, 10}, {0, 10}}, 0, 0}};
-  const CompiledRuleTable comp(rules);
-  std::vector<std::uint32_t> k3(9, 5);
-  std::vector<int> idx(3, -7);
-  comp.match_index_batch(k3, 3, idx);
-  EXPECT_EQ(idx, (std::vector<int>{-1, -1, -1}));
-
-  const std::size_t wide = CompiledRuleTable::kMaxBatchWidth + 3;
-  std::vector<RangeRule> wide_rules{{std::vector<FieldRange>(wide, FieldRange{2, 8}), 0, 0}};
-  const CompiledRuleTable wcomp(wide_rules);
-  std::vector<std::uint32_t> wkeys(2 * wide, 5);
-  wkeys[wide] = 100;  // second key misses
-  std::vector<int> widx(2, -7);
-  wcomp.match_index_batch(wkeys, wide, widx);
-  EXPECT_EQ(widx[0], 0);
-  EXPECT_EQ(widx[1], -1);
-  std::vector<int> wcls(2, -7);
-  wcomp.classify_batch(wkeys, wide, wcls);
-  EXPECT_EQ(wcls[0], 0);
-  EXPECT_EQ(wcls[1], 1);
-}
-
-TEST(CompiledVoteWhitelist, BatchVoteBitExactWithScalar) {
-  ml::Rng rng(0xB07E5ull);
-  for (const std::size_t trees : {1u, 2u, 5u, 8u}) {
-    core::VoteWhitelist wl;
-    wl.tree_count = trees;
-    for (std::size_t t = 0; t < trees; ++t) {
-      std::vector<RangeRule> rules;
-      const std::size_t n = 1 + rng.index(20);
-      for (std::size_t i = 0; i < n; ++i) rules.push_back(random_rule(rng, 4, 31));
-      wl.tables.emplace_back(std::move(rules));
-    }
-    const core::CompiledVoteWhitelist comp(wl);
-    // Batch sizes straddling the vote kernel's 256-key block.
-    for (const std::size_t n : {1u, 64u, 255u, 256u, 300u}) {
-      std::vector<std::uint32_t> keys(n * 4);
-      for (auto& v : keys) v = static_cast<std::uint32_t>(rng.integer(0, 40));
-      std::vector<int> got(n, -7);
-      comp.classify_batch(keys, 4, got);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::span<const std::uint32_t> key(keys.data() + i * 4, 4);
-        ASSERT_EQ(got[i], wl.classify(key));
-      }
-    }
-  }
-}
-
 TEST(CompiledRuleTable, EmptyTableMatchesNothing) {
   const CompiledRuleTable comp{RuleTable{}};
   const std::uint32_t key[] = {0, 1};
@@ -248,21 +153,35 @@ TEST(CompiledRuleTable, EmptyTableMatchesNothing) {
 }
 
 TEST(CompiledVoteWhitelist, VoteIdenticalToLinear) {
+  // Both key widths the pipeline votes on: 4-field PL and 13-field FL keys.
   ml::Rng rng(0x70735ull);
-  core::VoteWhitelist wl;
-  wl.tree_count = 5;
-  for (std::size_t t = 0; t < 5; ++t) {
-    std::vector<RangeRule> rules;
-    const std::size_t n = 1 + rng.index(20);
-    for (std::size_t i = 0; i < n; ++i) rules.push_back(random_rule(rng, 4, 31));
-    wl.tables.emplace_back(std::move(rules));
-  }
-  const core::CompiledVoteWhitelist comp(wl);
-  std::vector<std::uint32_t> key(4);
-  for (int k = 0; k < 1000; ++k) {
-    for (auto& v : key) v = static_cast<std::uint32_t>(rng.integer(0, 40));
-    ASSERT_EQ(comp.classify(key), wl.classify(key));
-    ASSERT_DOUBLE_EQ(comp.malicious_vote_fraction(key), wl.malicious_vote_fraction(key));
+  for (const std::size_t width : {std::size_t{4}, std::size_t{13}}) {
+    core::VoteWhitelist wl;
+    wl.tree_count = 5;
+    for (std::size_t t = 0; t < 5; ++t) {
+      std::vector<RangeRule> rules;
+      const std::size_t n = 1 + rng.index(20);
+      for (std::size_t i = 0; i < n; ++i) rules.push_back(random_rule(rng, width, 31));
+      wl.tables.emplace_back(std::move(rules));
+    }
+    const core::CompiledVoteWhitelist comp(wl);
+    std::vector<std::uint32_t> key(width);
+    for (int k = 0; k < 1000; ++k) {
+      for (auto& v : key) v = static_cast<std::uint32_t>(rng.integer(0, 40));
+      if (k % 2 == 1) {
+        // Land inside a random rule's box: uniform 13-field keys almost
+        // never match anything, so the hit path would go unchecked.
+        const auto& rules = wl.tables[rng.index(5)].rules();
+        const RangeRule& r = rules[rng.index(rules.size())];
+        for (std::size_t f = 0; f < width; ++f) {
+          if (!r.fields[f].empty()) {
+            key[f] = static_cast<std::uint32_t>(rng.integer(r.fields[f].lo, r.fields[f].hi));
+          }
+        }
+      }
+      ASSERT_EQ(comp.classify(key), wl.classify(key));
+      ASSERT_DOUBLE_EQ(comp.malicious_vote_fraction(key), wl.malicious_vote_fraction(key));
+    }
   }
 }
 

@@ -594,6 +594,17 @@ TEST(Daemon, InvalidConfigThrowsStructuredError) {
   cfg.source.path = "x.csv";
   cfg.shards = 0;
   EXPECT_EQ(validate_config(cfg).substr(0, 6), "shards");
+  // Pipeline fields are checked here, not left to abort inside a shard's
+  // FlowStore or to overflow the idle-timeout µs cast per packet.
+  cfg.shards = 1;
+  cfg.pipeline.flow_slots = 0;
+  EXPECT_EQ(validate_config(cfg).rfind("pipeline.flow_slots: ", 0), 0u) << validate_config(cfg);
+  cfg.pipeline.flow_slots = 16;
+  for (const double bad : {std::numeric_limits<double>::infinity(), 1e14}) {
+    cfg.pipeline.idle_timeout_delta = bad;
+    EXPECT_EQ(validate_config(cfg).rfind("pipeline.idle_timeout_delta: ", 0), 0u)
+        << validate_config(cfg);
+  }
 }
 
 TEST(Daemon, RequestStopDrainsAndAuditsClean) {
@@ -650,6 +661,10 @@ TEST(ConfigFile, ParsesKnobsAndRejectsTypos) {
   EXPECT_EQ(parse_config_text("shards = two\n", c2),
             "line 1: value 'two' for shards (want uint)");
   EXPECT_EQ(parse_config_text("shards\n", c2), "line 1: expected key = value");
+  // pipeline.batch_size is not a setting: a config naming it must fail, not
+  // be silently ignored.
+  EXPECT_EQ(parse_config_text("pipeline.batch_size = 32\n", c2),
+            "line 1: unknown key 'pipeline.batch_size'");
 }
 
 // --- http endpoint ----------------------------------------------------------

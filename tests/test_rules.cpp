@@ -142,52 +142,6 @@ TEST(Quantizer, NanMapsToLowestLevel) {
   EXPECT_EQ(q.quantize(row)[0], 0u);
 }
 
-TEST(Quantizer, BatchColumnarBitExactWithPerKey) {
-  // quantize_batch_into / quantize_rows_into only hoist the span constants;
-  // per element they must equal quantize_value / quantize_into exactly —
-  // including NaN, clamped, and boundary inputs — or the batched pipeline
-  // would diverge from the scalar reference.
-  ml::Matrix fit(2, 4);
-  for (std::size_t j = 0; j < 4; ++j) {
-    fit(0, j) = -7.5 * static_cast<double>(j + 1);
-    fit(1, j) = 200.0 + 13.0 * static_cast<double>(j);
-  }
-  for (const unsigned bits : {8u, 12u, 16u}) {
-    Quantizer q(bits);
-    q.fit(fit);
-    ml::Rng rng(0xBA7C9ull + bits);
-    const std::size_t n = 137;
-    std::vector<double> rows(n * 4);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      switch (rng.index(8)) {
-        case 0: rows[i] = std::numeric_limits<double>::quiet_NaN(); break;
-        case 1: rows[i] = -1e9; break;  // clamps to 0
-        case 2: rows[i] = 1e9; break;   // clamps to domain_max
-        default: rows[i] = rng.uniform(-30.0, 300.0);
-      }
-    }
-    std::vector<std::uint32_t> got(n * 4, 0xAAAAAAAAu);
-    q.quantize_rows_into(rows, got);
-    std::vector<std::uint32_t> want(4);
-    for (std::size_t i = 0; i < n; ++i) {
-      q.quantize_into(std::span<const double>(rows.data() + i * 4, 4), want);
-      for (std::size_t j = 0; j < 4; ++j) ASSERT_EQ(got[i * 4 + j], want[j]);
-    }
-    // Columnar single-field variant against quantize_value.
-    std::vector<double> col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = rows[i * 4 + 2];
-    std::vector<std::uint32_t> colq(n, 0xAAAAAAAAu);
-    q.quantize_batch_into(2, col, colq);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(colq[i], q.quantize_value(2, col[i]));
-  }
-  // Malformed row buffers are rejected, not silently truncated.
-  Quantizer q(8);
-  q.fit(fit);
-  std::vector<double> bad(5);
-  std::vector<std::uint32_t> out(5);
-  EXPECT_THROW(q.quantize_rows_into(bad, out), std::invalid_argument);
-}
-
 TEST(Quantizer, QuantizePreservesOrderOfSamples) {
   ml::Rng rng(3);
   ml::Matrix x(100, 2);

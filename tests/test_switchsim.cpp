@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "switchsim/faults.hpp"
 #include "switchsim/flow_state.hpp"
 #include "switchsim/pipeline.hpp"
@@ -491,6 +493,35 @@ TEST_F(PipelineTest, MissingFlTablesThrows) {
   DeployedModel dm;
   dm.fl_quantizer = &quant_;
   EXPECT_THROW(Pipeline(PipelineConfig{}, dm), std::invalid_argument);
+}
+
+TEST_F(PipelineTest, InvalidConfigThrowsConfigError) {
+  const auto expect_field = [this](const PipelineConfig& cfg, const char* field) {
+    try {
+      make(cfg);
+      ADD_FAILURE() << "constructor accepted a bad " << field;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.structure(), "PipelineConfig");
+      EXPECT_EQ(e.field(), field);
+    }
+  };
+  PipelineConfig cfg;
+  cfg.flow_slots = 0;
+  expect_field(cfg, "flow_slots");
+  // delta is cast to integer µs; +inf or anything past 2^64 µs is UB there.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 1e14}) {
+    cfg = {};
+    cfg.idle_timeout_delta = bad;
+    expect_field(cfg, "idle_timeout_delta");
+  }
+  // <= 0 means no idle timeout; a span just under the 2^64 µs limit is legal.
+  for (const double ok : {0.0, -1.0, 1.8e13}) {
+    cfg = {};
+    cfg.idle_timeout_delta = ok;
+    EXPECT_EQ(validate_config(cfg), "") << ok;
+    EXPECT_NO_THROW(make(cfg));
+  }
 }
 
 TEST_F(PipelineTest, PerPacketRecordsAligned) {
