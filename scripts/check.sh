@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification sweep: build + ctest plain, then under each sanitizer.
+# Full verification sweep: build + ctest plain (warnings are errors), then
+# under each sanitizer.
 # Usage: scripts/check.sh [--fast|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
 #   --fast         plain build/test only (skip the sanitizer matrix)
 #   --bench-smoke  Release build + bench_throughput --smoke: fails if the
@@ -54,12 +55,14 @@ GENERATOR_ARGS=()
 command -v ninja >/dev/null 2>&1 && GENERATOR_ARGS=(-G Ninja)
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
+# run_suite <name> <sanitizer> [extra cmake args...]
 run_suite() {
   local name="$1" sanitize="$2"
+  shift 2
   local dir="build-check-${name}"
   echo "=== ${name} (IGUARD_SANITIZE='${sanitize}') ==="
   cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" -DIGUARD_SANITIZE="${sanitize}" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
@@ -450,7 +453,9 @@ if [[ "${1:-}" == "--csv-drift" ]]; then
   exit 0
 fi
 
-run_suite plain ""
+# The plain leg is the warning gate: any -Wall -Wextra warning fails it. The
+# sanitizer legs build with the same warnings, not as errors.
+run_suite plain "" -DCMAKE_CXX_FLAGS=-Werror
 if [[ "${1:-}" != "--fast" ]]; then
   run_suite ubsan undefined
   run_suite asan address

@@ -20,13 +20,13 @@ struct Sweep {
   std::size_t steps = 0;
 
   // decide(acc, next_tree): label if already determined, else -1.
-  std::function<int(double, std::size_t)> decide;
+  std::function<int(double, std::size_t)> decide{};
   // finalize(acc): label once all trees are consumed.
-  std::function<int(double)> finalize;
+  std::function<int(double)> finalize{};
 
   std::size_t regions_total = 0;
   std::size_t regions_benign = 0;
-  std::vector<rules::RangeRule> benign;
+  std::vector<rules::RangeRule> benign{};
 
   void emit(const std::vector<rules::FieldRange>& box, int label) {
     ++regions_total;
@@ -377,7 +377,7 @@ WhitelistResult compile_pathlength(const ml::IsolationForest& forest,
   }
   const double t_count = static_cast<double>(qtrees.size());
 
-  Sweep sweep{qtrees, q.domain_max(), cfg.max_regions, cfg.max_steps, {}, {}};
+  Sweep sweep{qtrees, q.domain_max(), cfg.max_regions, cfg.max_steps};
   sweep.decide = [t_count](double acc, std::size_t done) -> int {
     if (2.0 * acc > t_count) return 1;
     const double remaining = t_count - static_cast<double>(done);

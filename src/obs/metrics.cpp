@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -109,7 +108,7 @@ MetricsSnapshot Registry::snapshot() const {
     out.scalars[h->name + ".min"] = n > 0 ? h->min.load(std::memory_order_relaxed) : 0.0;
     out.scalars[h->name + ".max"] = n > 0 ? h->max.load(std::memory_order_relaxed) : 0.0;
     for (std::size_t i = 0; i < h->buckets.size(); ++i) {
-      char key[16];
+      char key[24];  // ".b" + up to 20 digits of a size_t + NUL
       std::snprintf(key, sizeof(key), ".b%02zu", i);
       out.scalars[h->name + key] =
           static_cast<double>(h->buckets[i].load(std::memory_order_relaxed));
@@ -235,23 +234,6 @@ std::string to_prometheus(const MetricsSnapshot& s) {
     }
   }
   return os.str();
-}
-
-ScopeTimerNs::ScopeTimerNs(Histogram h) : h_(h) {
-  if (h_.active()) {
-    t0_ = static_cast<std::uint64_t>(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-  }
-}
-
-ScopeTimerNs::~ScopeTimerNs() {
-  if (!h_.active()) return;
-  const auto now = static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-  h_.record(std::chrono::duration<double, std::nano>(
-                std::chrono::steady_clock::duration(
-                    static_cast<std::chrono::steady_clock::rep>(now - t0_)))
-                .count());
 }
 
 }  // namespace iguard::obs

@@ -322,23 +322,4 @@ class Registry {
   std::vector<std::unique_ptr<detail::SeriesData>> series_;
 };
 
-/// RAII steady-clock scope timer: records elapsed nanoseconds into a
-/// histogram on destruction (or into the histogram chosen by set()), and
-/// costs nothing when the histogram handle is inactive.
-class ScopeTimerNs {
- public:
-  explicit ScopeTimerNs(Histogram h);
-  ~ScopeTimerNs();
-  ScopeTimerNs(const ScopeTimerNs&) = delete;
-  ScopeTimerNs& operator=(const ScopeTimerNs&) = delete;
-
-  /// Re-target the destination histogram (e.g. once the packet's execution
-  /// path is known). An inactive histogram cancels the record.
-  void set(Histogram h) { h_ = h; }
-
- private:
-  Histogram h_;
-  std::uint64_t t0_ = 0;
-};
-
 }  // namespace iguard::obs

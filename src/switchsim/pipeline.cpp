@@ -14,6 +14,12 @@ constexpr std::size_t kPlFeatures = 4;
 
 constexpr const char* kPathNames[6] = {"red", "brown", "blue", "orange", "purple", "green"};
 
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now().time_since_epoch())
+                                        .count());
+}
+
 const PipelineConfig& checked(const PipelineConfig& cfg) {
   if (const std::string err = validate_config(cfg); !err.empty()) {
     const std::size_t colon = err.find(':');
@@ -138,10 +144,11 @@ void Pipeline::finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, I
 }
 
 int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
-  // Latency scope for the per-path histograms: t0 is captured up front (the
-  // handle is active iff a registry is attached) and the destination is
-  // re-targeted once the packet's path is known.
-  obs::ScopeTimerNs timer(obs_.path_ns[0]);
+  // Per-path latency is sampled (kLatencySampleEvery): the two clock reads
+  // and the histogram record would otherwise cost more than a red or purple
+  // decision. The path, and so the histogram, is known only at the end.
+  const bool timed = obs_.enabled && packet_index_++ % kLatencySampleEvery == 0;
+  const std::uint64_t t0 = timed ? steady_ns() : 0;
   // Apply control-plane work due by this packet's time before the lookup:
   // with zero latency and no faults this is exactly the lockstep model (an
   // install triggered by packet i has always only affected packets > i).
@@ -252,7 +259,7 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
       obs_.blacklist_evictions.inc(ev - last_evictions_);
       last_evictions_ = ev;
     }
-    timer.set(obs_.path_ns[pi]);
+    if (timed) obs_.path_ns[pi].record(static_cast<double>(steady_ns() - t0));
   }
   return verdict;
 }

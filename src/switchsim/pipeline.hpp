@@ -69,10 +69,13 @@ struct PipelineConfig {
   /// latency, unbounded channel, every fault disabled).
   ControlPlaneConfig control{};
   /// Optional observability sink (DESIGN.md §4d). When set, the pipeline
-  /// registers per-path packet counters, per-path process() latency
-  /// histograms (under "timing."), flow-store/blacklist occupancy gauges,
-  /// and control-plane instruments — all allocation-free on the hot path.
-  /// The caller owns the registry; it must outlive the pipeline.
+  /// registers per-path packet counters, flow-store/blacklist occupancy
+  /// gauges, eviction/leak counters and control-plane instruments, all
+  /// updated on every packet, plus per-path process() latency histograms
+  /// (under "timing.") that only every Pipeline::kLatencySampleEvery-th
+  /// packet records into: their .count counts samples, not packets. All of
+  /// it is allocation-free on the hot path. The caller owns the registry;
+  /// it must outlive the pipeline.
   obs::Registry* metrics = nullptr;
   /// Namespace prefix for this pipeline's instruments; sharded replay
   /// rewrites it per shard ("pipeline.shard3") so concurrent pipelines
@@ -135,6 +138,14 @@ struct SimStats {
 
 class Pipeline {
  public:
+  /// process() latency is timed on one packet in this many: the packets
+  /// whose index in this pipeline's stream is 0, 64, 128, ... read the
+  /// steady clock at entry and exit and record into
+  /// timing.<prefix>.process_ns.<path>. The rest read no clock, so the
+  /// timer does not dominate the red/purple fast paths it times, and which
+  /// packets are sampled is a pure function of each shard's stream.
+  static constexpr std::uint64_t kLatencySampleEvery = 64;
+
   /// Throws ConfigError on an invalid `cfg` (validate_config), and
   /// std::invalid_argument when the model carries no FL rules.
   Pipeline(const PipelineConfig& cfg, const DeployedModel& model);
@@ -182,7 +193,7 @@ class Pipeline {
   struct Obs {
     bool enabled = false;
     std::array<obs::Counter, 6> path_packets;     // per Fig. 4 path
-    std::array<obs::Histogram, 6> path_ns;        // timing.<prefix>.process_ns.*
+    std::array<obs::Histogram, 6> path_ns;        // timing.<prefix>.process_ns.*, sampled
     obs::Gauge flow_occupancy;                    // slots claimed so far
     obs::Gauge blacklist_occupancy;
     obs::Counter blacklist_evictions;
@@ -212,6 +223,7 @@ class Pipeline {
   Obs obs_;
   std::size_t slots_claimed_ = 0;      // incremental flow-store occupancy
   std::size_t last_evictions_ = 0;     // blacklist eviction delta tracking
+  std::uint64_t packet_index_ = 0;     // latency-sampling clock (obs on only)
 };
 
 }  // namespace iguard::switchsim

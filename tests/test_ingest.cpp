@@ -299,7 +299,10 @@ TEST(IngestPcap, RuntOrigLenDoesNotUnderflow) {
 TEST(QuarantineRing, BoundedWithEvictionAccounting) {
   io::QuarantineRing ring(3, 4);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ring.push(io::IngestErrorCategory::kBadField, i, "d" + std::to_string(i), "abcdefgh");
+    // append(), not "d" + to_string(i): GCC 12 raises a false -Wrestrict
+    // on the inlined operator+(const char*, string&&).
+    ring.push(io::IngestErrorCategory::kBadField, i, std::string("d").append(std::to_string(i)),
+              "abcdefgh");
   }
   EXPECT_EQ(ring.size(), 3u);
   EXPECT_EQ(ring.evicted(), 2u);

@@ -4,7 +4,9 @@
 // accounting invariants the instruments are supposed to mirror.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/rng.hpp"
@@ -201,15 +203,28 @@ TEST_F(ObsReplayTest, NonTimingKeysByteIdenticalAcrossIdenticalRuns) {
     rc.shards = 4;
     rc.num_threads = num_threads;
     (void)switchsim::replay_sharded(trace, cfg, dm, rc);
-    return obs::to_json(without_timing(reg.snapshot()));
+    const MetricsSnapshot snap = reg.snapshot();
+    // Latency values are wall-clock, but which packets are sampled depends
+    // only on each shard's packet index, so the sample counts are exact.
+    std::map<std::string, double> sample_counts;
+    for (const auto& [k, v] : snap.scalars) {
+      if (k.rfind("timing.", 0) == 0 && k.find(".process_ns.") != std::string::npos &&
+          k.ends_with(".count")) {
+        sample_counts.emplace(k, v);
+      }
+    }
+    return std::make_pair(obs::to_json(without_timing(snap)), sample_counts);
   };
-  const std::string a = run_once(1);
-  const std::string b = run_once(1);
-  const std::string c = run_once(4);  // thread count must not matter either
+  const auto [a, a_samples] = run_once(1);
+  const auto [b, b_samples] = run_once(1);
+  const auto [c, c_samples] = run_once(4);  // thread count must not matter either
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   EXPECT_NE(a.find("pipeline.shard0.path.brown.packets"), std::string::npos);
   EXPECT_NE(a.find("pipeline.shard3.control.digests"), std::string::npos);
+  EXPECT_EQ(a_samples.size(), 4u * 6u);  // 4 shards x 6 paths
+  EXPECT_EQ(a_samples, b_samples);
+  EXPECT_EQ(a_samples, c_samples);
 }
 
 TEST_F(ObsReplayTest, PathCountersMatchSimStats) {
@@ -235,13 +250,27 @@ TEST_F(ObsReplayTest, PathCountersMatchSimStats) {
             static_cast<double>(pipe.controller().rules_installed()));
   EXPECT_EQ(snap.scalars.at("pipeline.leaked_packets"),
             static_cast<double>(st.faults.leaked_packets));
-  // Per-path latency histograms recorded one sample per packet.
-  double timing_count = 0.0;
-  for (const char* path : {"red", "brown", "blue", "orange", "purple", "green"}) {
-    timing_count +=
-        snap.scalars.at("timing.pipeline.process_ns." + std::string(path) + ".count");
+  // Per-path latency is sampled on the packets at index 0, 64, 128, ... of
+  // the pipeline's stream: ceil(packets / 64) samples across the paths.
+  static_assert(switchsim::Pipeline::kLatencySampleEvery == 64);
+  const auto timing_samples = [](const MetricsSnapshot& s) {
+    double n = 0.0;
+    for (const char* path : {"red", "brown", "blue", "orange", "purple", "green"}) {
+      n += s.scalars.at("timing.pipeline.process_ns." + std::string(path) + ".count");
+    }
+    return n;
+  };
+  EXPECT_EQ(timing_samples(snap), static_cast<double>((st.packets + 63) / 64));
+  // The same count at the sampling boundaries, on prefixes of the trace.
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 128u, 129u}) {
+    ASSERT_LE(n, trace.size());
+    Registry r;
+    cfg.metrics = &r;
+    switchsim::Pipeline prefix_pipe(cfg, dm);
+    switchsim::SimStats ps;
+    for (std::size_t i = 0; i < n; ++i) prefix_pipe.process(trace.packets[i], ps);
+    EXPECT_EQ(timing_samples(r.snapshot()), static_cast<double>((n + 63) / 64)) << n;
   }
-  EXPECT_EQ(timing_count, static_cast<double>(st.packets));
 }
 
 TEST_F(ObsReplayTest, SimStatsInvariantsAcrossConfigMatrix) {
