@@ -4,13 +4,19 @@
 //   - conservation: offered == accepted + quarantined (per category);
 //   - the emitted trace holds exactly `accepted` packets, every one schema-
 //     clean, with monotone non-negative timestamps;
-//   - the quarantine ring never exceeds its capacity.
+//   - the quarantine ring never exceeds its capacity;
+//   - the one-pass CSV parser returns exactly what the reference reader in
+//     tests/csv_oracle.hpp returns: stats, packets bitwise, quarantine
+//     entries with detail and snippet;
+//   - a result refilled in place equals a fresh one, whatever it held.
 // Violations abort() so the driver (or libFuzzer) flags the input.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
+#include "csv_oracle.hpp"
 #include "io/ingest.hpp"
 
 namespace {
@@ -18,6 +24,15 @@ namespace {
 void check(bool ok, const char* what) {
   if (!ok) {
     std::fprintf(stderr, "fuzz_trace_reader: invariant violated: %s\n", what);
+    std::abort();
+  }
+}
+
+void check_same(const iguard::io::IngestResult& got, const iguard::io::IngestResult& want,
+                const char* what) {
+  const std::string diff = iguard::io::oracle::first_difference(got, want);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "fuzz_trace_reader: %s: %s\n", what, diff.c_str());
     std::abort();
   }
 }
@@ -44,6 +59,14 @@ void run(std::string_view bytes, iguard::io::TraceFormat fmt) {
               iguard::io::IngestErrorCategory::kContainer)] > 0,
           "container failure without kContainer accounting");
   }
+  if (fmt == iguard::io::TraceFormat::kCsv) {
+    check_same(r, iguard::io::oracle::read_csv(bytes, cfg), "csv parser != oracle");
+  }
+  // One result reused across every input and format, as the daemon reuses
+  // its batch result.
+  static iguard::io::IngestResult reused;
+  reader.read_buffer(bytes, reused);
+  check_same(reused, r, "refilled result != fresh result");
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Full verification sweep: build + ctest plain (warnings are errors), then
-# under each sanitizer.
-# Usage: scripts/check.sh [--fast|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
+# under each sanitizer, then with the observability layer compiled out.
+# Usage: scripts/check.sh [--fast|--obs-off|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
 #   --fast         plain build/test only (skip the sanitizer matrix)
+#   --obs-off      build and ctest with -DIGUARD_OBS_OFF=ON, the
+#                  observability layer compiled out: tests that read
+#                  recorded instrument values skip that part, everything
+#                  else must pass (the full sweep runs this leg last)
 #   --bench-smoke  Release build + bench_throughput --smoke: fails if the
 #                  compiled match engine diverges from the linear-scan oracle
 #                  on any PL or FL key of the trace, if sharded replay is
@@ -420,6 +424,11 @@ csv_drift() {
   [[ "${drift}" == 0 ]] || { echo "=== csv drift detected ==="; exit 1; }
 }
 
+if [[ "${1:-}" == "--obs-off" ]]; then
+  run_suite obs-off "" -DIGUARD_OBS_OFF=ON
+  echo "=== obs-off suite passed ==="
+  exit 0
+fi
 if [[ "${1:-}" == "--bench-smoke" ]]; then
   bench_smoke
   echo "=== bench smoke passed ==="
@@ -460,5 +469,6 @@ if [[ "${1:-}" != "--fast" ]]; then
   run_suite ubsan undefined
   run_suite asan address
   run_suite tsan thread
+  run_suite obs-off "" -DIGUARD_OBS_OFF=ON
 fi
 echo "=== all checks passed ==="

@@ -53,7 +53,6 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
   if (rd.clamp_timestamps != rc.clamp_timestamps) return changed("reader.clamp_timestamps");
   if (rd.limits.max_record_bytes != rc.limits.max_record_bytes)
     return changed("reader.limits.max_record_bytes");
-  if (rd.limits.max_records != rc.limits.max_records) return changed("reader.limits.max_records");
   const auto& pn = next.pipeline;
   const auto& pc = cur.pipeline;
   if (pn.packet_threshold_n != pc.packet_threshold_n)
@@ -103,6 +102,11 @@ std::string validate_config(const DaemonConfig& cfg) {
   if (cfg.max_batch_records == 0) return "max_batch_records: must be >= 1 (got 0)";
   if (cfg.alert_check_every == 0) return "alert_check_every: must be >= 1 (got 0)";
   if (cfg.alert_capacity == 0) return "alert_capacity: must be >= 1 (got 0)";
+  if (cfg.reader.limits.max_records != 0) {
+    // The reader applies it per call: in a daemon it would cap each batch.
+    return "reader.limits.max_records: must be 0 in a daemon (got " +
+           std::to_string(cfg.reader.limits.max_records) + ")";
+  }
   if (cfg.source.kind == SourceConfig::Kind::kFile && cfg.source.path.empty()) {
     return "source.path: must be set for a file source";
   }
@@ -267,8 +271,12 @@ void Daemon::ingest_batch(std::string& bytes) {
   if (bytes.empty()) return;
   ++stats_.batches;
   obs_.batches.inc();
-  io::IngestResult r = reader_->read_buffer(bytes);
+  reader_->read_buffer(bytes, batch_);
   bytes.clear();
+  const io::IngestResult& r = batch_;
+  // The reader numbers records from 0 in every batch; the daemon's ring
+  // numbers them from the start of the stream.
+  const std::uint64_t first_index = stats_.ingest.offered;
   stats_.ingest.offered += r.stats.offered;
   stats_.ingest.accepted += r.stats.accepted;
   stats_.ingest.quarantined += r.stats.quarantined;
@@ -278,7 +286,7 @@ void Daemon::ingest_batch(std::string& bytes) {
   stats_.ingest.timestamps_clamped += r.stats.timestamps_clamped;
   for (std::size_t i = 0; i < r.quarantine.size(); ++i) {
     const io::IngestError& e = r.quarantine[i];
-    quarantine_.push(e.category, e.record_index, e.detail, e.snippet);
+    quarantine_.push(e.category, first_index + e.record_index, e.detail, e.snippet);
   }
   if (!r.container_ok && stats_.container_ok) {
     stats_.container_ok = false;

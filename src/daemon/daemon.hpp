@@ -28,11 +28,18 @@
 // on a full ring, consumer polls of an empty one), outside the
 // deterministic exposition.
 //
-// Steady-state allocation contract: the consumer packet path (try_pop_n →
-// shard_of → Pipeline::process → alert cadence check) allocates nothing
-// once warm — the alloc-probe test extends the counting-operator-new gate
-// over drain_some(). The producer side allocates per *batch* (file chunk,
-// reader result), never per packet, and reuses its buffers across batches.
+// Steady-state allocation contract: once warm, a serving step allocates
+// nothing on either side. The consumer packet path (try_pop_n → shard_of →
+// Pipeline::process → alert cadence check) and the producer path (source
+// chunk → framer → TraceReader → gate → try_push_n) both run in buffers
+// sized by the first batches and reused after: the source's read buffer,
+// the framer's pending bytes and batch, the reader's IngestResult (refilled
+// in place by read_buffer(bytes, out)), the gate's queue and the admit
+// buffer. The alloc-probe test brackets pump_once() and drain_some() over a
+// warm CSV replay and a warm pcap replay. What still allocates is driven by
+// the stream, not by the step: a quarantined record (its detail and snippet
+// strings), a gate queue or batch larger than any before it, and a flow's
+// first classification on the pipelines' blue path.
 //
 // Reload: request_reload() re-validates a full DaemonConfig, rejects
 // structural changes (shards, source identity, pipeline/control shape) with
@@ -81,7 +88,10 @@ struct SourceConfig {
 
 struct DaemonConfig {
   SourceConfig source;
-  io::TraceReaderConfig reader;  // metrics/prefix are overridden by the daemon
+  /// metrics/prefix are overridden by the daemon. limits.max_records must be
+  /// 0: the reader applies it per batch, and a server has no use for a cap
+  /// on the whole stream.
+  io::TraceReaderConfig reader;
   io::OverloadConfig overload;
   /// Per-shard pipeline template; metrics_prefix is rewritten per shard
   /// ("<metrics_prefix>.shard0") and record_labels is forced off (a
@@ -194,6 +204,9 @@ class Daemon {
   DaemonStats stats() const;
 
   const AlertLog& alerts() const { return alerts_; }
+  /// The most recent quarantined records, across batches. record_index
+  /// counts the records offered since the daemon started (0-based), so it
+  /// names one record of the stream, not a position within its batch.
   const io::QuarantineRing& quarantine() const { return quarantine_; }
   /// Copy of the effective config, taken under the reload lock — safe to
   /// call from any thread while the serving threads hot-apply reloads.
@@ -223,6 +236,7 @@ class Daemon {
   std::unique_ptr<io::OverloadGate> gate_;
   io::OverloadStats gate_base_;    // stats of gates retired by reloads
   std::string batch_buf_;          // framed batch (reused)
+  io::IngestResult batch_;         // reader output, refilled per batch (reused)
   std::vector<traffic::Packet> admit_buf_;  // gate output (reused)
   double time_offset_ = 0.0;       // looped-replay event-time shift
   double producer_ts_ = 0.0;       // last offered (shifted) timestamp

@@ -1,10 +1,13 @@
 #include "io/ingest.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "trafficgen/pcap_io.hpp"
@@ -14,24 +17,6 @@ namespace iguard::io {
 namespace {
 
 constexpr std::size_t kMaxDetailBytes = 160;
-
-/// from_chars-strict scalar parse: the whole field, nothing but the value.
-template <typename T>
-bool parse_int(std::string_view s, T& out) {
-  if (s.empty()) return false;
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  const auto res = std::from_chars(first, last, out, 10);
-  return res.ec == std::errc{} && res.ptr == last;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  const auto res = std::from_chars(first, last, out);
-  return res.ec == std::errc{} && res.ptr == last && std::isfinite(out);
-}
 
 std::string clip(std::string s) {
   if (s.size() > kMaxDetailBytes) s.resize(kMaxDetailBytes);
@@ -71,6 +56,14 @@ void QuarantineRing::push(IngestErrorCategory cat, std::uint64_t record_index,
   ring_[start_] = std::move(e);
   start_ = (start_ + 1) % capacity_;
   ++evicted_;
+}
+
+void QuarantineRing::reset(std::size_t capacity, std::size_t snippet_bytes) {
+  capacity_ = capacity;
+  snippet_bytes_ = snippet_bytes;
+  ring_.clear();
+  start_ = 0;
+  evicted_ = 0;
 }
 
 bool IngestStats::conserved() const {
@@ -134,23 +127,16 @@ namespace {
 
 /// Shared timestamp sanitiser: clamp negatives to zero and regressions to
 /// the running maximum (the same floor to_us() applies downstream), or
-/// report a violation in strict mode. Returns false when the packet must be
-/// quarantined instead of accepted.
-bool sanitise_ts(double& ts, double& prev_ts, bool clamp, IngestStats& stats,
-                 std::string* why) {
+/// report a violation in strict mode. Returns the violation when the packet
+/// must be quarantined instead of accepted, else an empty view.
+std::string_view sanitise_ts(double& ts, double& prev_ts, bool clamp, IngestStats& stats) {
   double v = ts;
   if (v < 0.0) {
-    if (!clamp) {
-      if (why != nullptr) *why = "ts: negative timestamp in strict mode";
-      return false;
-    }
+    if (!clamp) return "ts: negative timestamp in strict mode";
     v = 0.0;
   }
   if (v < prev_ts) {
-    if (!clamp) {
-      if (why != nullptr) *why = "ts: timestamp regression in strict mode";
-      return false;
-    }
+    if (!clamp) return "ts: timestamp regression in strict mode";
     v = prev_ts;
   }
   if (v != ts) {
@@ -158,16 +144,189 @@ bool sanitise_ts(double& ts, double& prev_ts, bool clamp, IngestStats& stats,
     ++stats.timestamps_clamped;
   }
   prev_ts = v;
-  return true;
+  return {};
+}
+
+// --- the one-pass CSV row scanner --------------------------------------------
+//
+// Each row is read once, front to back, with no separate search for its
+// '\n' or its commas. Bytes are classified as digit or not 64 at a time (one
+// word per 8 bytes), so the end of an integer field is a shift and a count
+// of trailing zeros away; its digits are converted from one or two words,
+// and the ',' that ends it starts the next field. The rules are exactly
+// std::from_chars' for the field's unsigned type (base 10): one or more
+// digits, leading zeros allowed, no sign, space or "0x", and a value past
+// the type's maximum fails. The timestamp keeps std::from_chars, which may
+// be handed the rest of the bytes: a double's syntax never contains ',',
+// '\r' or '\n', so it stops where the field ends.
+
+constexpr std::size_t kCsvFields = 11;
+
+/// Largest value of each integer field's type, in schema order.
+constexpr std::array<std::uint64_t, kCsvFields - 1> kIntFieldMax = {
+    std::numeric_limits<decltype(traffic::FiveTuple::src_ip)>::max(),
+    std::numeric_limits<decltype(traffic::FiveTuple::dst_ip)>::max(),
+    std::numeric_limits<decltype(traffic::FiveTuple::src_port)>::max(),
+    std::numeric_limits<decltype(traffic::FiveTuple::dst_port)>::max(),
+    std::numeric_limits<decltype(traffic::FiveTuple::proto)>::max(),
+    std::numeric_limits<decltype(traffic::Packet::length)>::max(),
+    std::numeric_limits<decltype(traffic::Packet::ttl)>::max(),
+    std::numeric_limits<std::uint8_t>::max(),  // flags: the TcpFlag ordinal
+    std::numeric_limits<std::uint8_t>::max(),  // malicious: 0/1
+    std::numeric_limits<decltype(traffic::Packet::flow_id)>::max(),
+};
+/// Accumulators saturate here, above every field's maximum, so a long run of
+/// digits can neither wrap nor pass the width check.
+constexpr std::uint64_t kSaturated = std::uint64_t{1} << 32;
+
+std::uint64_t load8(const char* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+/// Bit i set where byte i of the little-endian word `w` is not a decimal
+/// digit; bits 8..63 clear.
+std::uint64_t nondigit_bits(std::uint64_t w) {
+  const std::uint64_t t = w ^ 0x3030303030303030ull;  // digits become 0..9, no other byte does
+  const std::uint64_t high =
+      (((t & 0x7F7F7F7F7F7F7F7Full) + 0x7676767676767676ull) | t) & 0x8080808080808080ull;
+  return ((high >> 7) * 0x0102040810204080ull) >> 56;  // one bit per byte, gathered
+}
+
+/// The value of the first k (1..8) digits of the little-endian word `w`:
+/// shifted to the word's top behind zero digits, then summed pairwise.
+std::uint64_t digits_in_word(std::uint64_t w, std::size_t k) {
+  std::uint64_t t = (w ^ 0x3030303030303030ull) << (8 * (8 - k));
+  t = t * 10 + (t >> 8);
+  return (((t & 0x000000FF000000FFull) * 0x000F424000000064ull) +
+          (((t >> 16) & 0x000000FF000000FFull) * 0x0000271000000001ull)) >>
+         32;
+}
+
+/// The scan's current window: bit i of `bits` is set when base[i] is not a
+/// digit, for the 64 bytes from `base`.
+struct Stops {
+  const char* base;
+  std::uint64_t bits = 0;
+};
+
+/// The first byte at or after `p` that is not a digit, or `end`.
+const char* next_stop(const char* p, const char* end, Stops& s) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto off = static_cast<std::size_t>(p - s.base);
+    if (off < 64 && (s.bits >> off) != 0) return p + std::countr_zero(s.bits >> off);
+    for (; end - p >= 64; p += 64) {
+      s.base = p;
+      s.bits = 0;
+      for (std::size_t w = 0; w < 8; ++w) s.bits |= nondigit_bits(load8(p + 8 * w)) << (8 * w);
+      if (s.bits != 0) return p + std::countr_zero(s.bits);
+    }
+  }
+  while (p != end && static_cast<unsigned char>(*p) - unsigned{'0'} <= 9) ++p;
+  return p;
+}
+
+/// The value of the digit run [first, last), saturated at kSaturated.
+std::uint64_t digits_value(const char* first, const char* last, const char* end) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if constexpr (std::endian::native == std::endian::little) {
+    // Sixteen digits or fewer fit 64 bits exactly: one word or two.
+    if (n - 1 < 8 && end - first >= 8) return digits_in_word(load8(first), n);
+    if (n - 9 < 8) {
+      return digits_in_word(load8(first), n - 8) * 100000000 +
+             digits_in_word(load8(last - 8), 8);
+    }
+  }
+  std::uint64_t v = 0;
+  for (; first != last; ++first) {
+    v = std::min<std::uint64_t>(v * 10 + static_cast<unsigned char>(*first) - '0', kSaturated);
+  }
+  return v;
+}
+
+/// True where a row ends: at the end of the bytes, at '\n', or at the one
+/// '\r' directly before either (the row's stripped trailing '\r').
+bool at_row_end(const char* p, const char* end) {
+  return p == end || *p == '\n' || (*p == '\r' && (p + 1 == end || p[1] == '\n'));
+}
+
+/// Where the row after the row end at `p` starts.
+const char* past_row_end(const char* p, const char* end) {
+  if (p == end) return end;
+  if (*p == '\n') return p + 1;
+  return p + 1 == end ? end : p + 2;  // "\r\n", or a final '\r'
+}
+
+/// What one pass over a row learned; the reader decides its verdict from
+/// this in the documented order.
+struct CsvRow {
+  const char* end = nullptr;   // one past the row's last byte, trailing '\r' excluded
+  const char* next = nullptr;  // start of the following row
+  std::size_t fields = 0;      // fields seen; kCsvFields + 1 = "more than 11"
+  bool ts_ok = false;
+  bool ints_ok = true;
+  double ts = 0.0;
+  std::array<std::uint64_t, kCsvFields - 1> v{};  // integer fields, in schema order
+};
+
+/// Close the field whose value stopped at `p`. A clean field stops on its
+/// terminator; anything else is junk that fails the field, skipped up to the
+/// terminator. Leaves `p` on the terminator and returns true when it is a
+/// ',' (another field follows).
+bool end_field(const char*& p, const char* end, bool& ok) {
+  if (p != end && *p == ',') return true;
+  if (at_row_end(p, end)) return false;
+  ok = false;
+  do {
+    ++p;
+  } while (!at_row_end(p, end) && *p != ',');
+  return p != end && *p == ',';
+}
+
+/// The bounds of the row that continues at `p`, unparsed: rows past the
+/// budget, and the rest of a row with too many fields.
+CsvRow skip_row(const char* p, const char* end) {
+  CsvRow row;
+  const void* nl = std::memchr(p, '\n', static_cast<std::size_t>(end - p));
+  row.end = nl != nullptr ? static_cast<const char*>(nl) : end;
+  row.next = nl != nullptr ? row.end + 1 : end;
+  if (row.end > p && row.end[-1] == '\r') --row.end;
+  return row;
+}
+
+/// Scan the non-blank row starting at `p`.
+CsvRow scan_row(const char* p, const char* end, Stops& stops) {
+  CsvRow row;
+  const auto ts = std::from_chars(p, end, row.ts);
+  row.ts_ok = ts.ec == std::errc{} && std::isfinite(row.ts);
+  p = ts.ptr;
+  bool more = end_field(p, end, row.ts_ok);
+  row.fields = 1;
+  for (; more && row.fields < kCsvFields; ++row.fields) {
+    const char* const digits = ++p;  // past the ','
+    p = next_stop(p, end, stops);
+    const std::uint64_t v = digits_value(digits, p, end);
+    bool ok = p != digits && v <= kIntFieldMax[row.fields - 1];
+    row.v[row.fields - 1] = v;
+    more = end_field(p, end, ok);
+    row.ints_ok = row.ints_ok && ok;
+  }
+  if (more) {
+    // An 11th ',': the count alone decides this row, so only its end is
+    // still needed.
+    CsvRow rest = skip_row(p, end);
+    rest.fields = kCsvFields + 1;
+    return rest;
+  }
+  row.end = p;
+  row.next = past_row_end(p, end);
+  return row;
 }
 
 }  // namespace
 
-IngestResult TraceReader::read_csv(std::string_view bytes) const {
-  IngestResult r;
-  r.quarantine = QuarantineRing(cfg_.limits.quarantine_capacity,
-                                cfg_.limits.quarantine_snippet_bytes);
-
+void TraceReader::read_csv(std::string_view bytes, IngestResult& r) const {
   // Header line first: its absence is container damage, counted as one
   // offered+quarantined record so conservation covers the probe itself.
   std::size_t pos = 0;
@@ -182,115 +341,100 @@ IngestResult TraceReader::read_csv(std::string_view bytes) const {
       r.container_ok = false;
       r.container_error = "csv: missing or malformed header";
       finish(r);
-      return r;
+      return;
     }
     pos = eol == std::string_view::npos ? bytes.size() : eol + 1;
   }
 
+  const char* p = bytes.data() + pos;
+  const char* const end = bytes.data() + bytes.size();
+  Stops stops{p};
   double prev_ts = 0.0;
-  while (pos < bytes.size()) {
-    std::size_t eol = bytes.find('\n', pos);
-    if (eol == std::string_view::npos) eol = bytes.size();
-    std::string_view row = bytes.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (!row.empty() && row.back() == '\r') row.remove_suffix(1);
-    if (row.empty()) continue;  // blank separator lines are not records
-
+  while (p != end) {
+    if (at_row_end(p, end)) {  // blank separator lines are not records
+      p = past_row_end(p, end);
+      continue;
+    }
     ++r.stats.offered;
     const std::uint64_t idx = r.stats.offered - 1;
+    const bool over_budget =
+        cfg_.limits.max_records != 0 && r.stats.accepted >= cfg_.limits.max_records;
+    const CsvRow row = over_budget ? skip_row(p, end) : scan_row(p, end, stops);
+    const std::string_view raw(p, static_cast<std::size_t>(row.end - p));
+    p = row.next;
 
-    if (row.size() > cfg_.limits.max_record_bytes) {
+    // Verdicts in the reader's documented order.
+    if (raw.size() > cfg_.limits.max_record_bytes) {
       count(r, IngestErrorCategory::kOversized, idx, "csv: row exceeds max_record_bytes",
-            row);
+            raw);
       continue;
     }
-    if (cfg_.limits.max_records != 0 && r.stats.accepted >= cfg_.limits.max_records) {
-      count(r, IngestErrorCategory::kBudget, idx, "csv: max_records budget exhausted", row);
+    if (over_budget) {
+      count(r, IngestErrorCategory::kBudget, idx, "csv: max_records budget exhausted", raw);
       continue;
     }
-
-    // Split into exactly 11 fields.
-    std::array<std::string_view, 11> f;
-    std::size_t nfields = 0;
-    std::size_t start = 0;
-    bool too_many = false;
-    for (std::size_t i = 0; i <= row.size(); ++i) {
-      if (i == row.size() || row[i] == ',') {
-        if (nfields == f.size()) {
-          too_many = true;
-          break;
-        }
-        f[nfields++] = row.substr(start, i - start);
-        start = i + 1;
-      }
-    }
-    if (too_many) {
-      count(r, IngestErrorCategory::kBadField, idx, "csv: more than 11 fields", row);
+    if (row.fields > kCsvFields) {
+      count(r, IngestErrorCategory::kBadField, idx, "csv: more than 11 fields", raw);
       continue;
     }
-    if (nfields < f.size()) {
+    if (row.fields < kCsvFields) {
       count(r, IngestErrorCategory::kTruncated, idx,
-            "csv: " + std::to_string(nfields) + " of 11 fields", row);
+            "csv: " + std::to_string(row.fields) + " of 11 fields", raw);
       continue;
     }
-
-    traffic::Packet p;
-    std::uint8_t flags = 0, malicious = 0;
-    if (!parse_double(f[0], p.ts)) {
-      count(r, IngestErrorCategory::kBadField, idx, "csv: ts is not a finite number", row);
+    if (!row.ts_ok) {
+      count(r, IngestErrorCategory::kBadField, idx, "csv: ts is not a finite number", raw);
       continue;
     }
-    if (!parse_int(f[1], p.ft.src_ip) || !parse_int(f[2], p.ft.dst_ip) ||
-        !parse_int(f[3], p.ft.src_port) || !parse_int(f[4], p.ft.dst_port) ||
-        !parse_int(f[5], p.ft.proto) || !parse_int(f[6], p.length) ||
-        !parse_int(f[7], p.ttl) || !parse_int(f[8], flags) || !parse_int(f[9], malicious) ||
-        !parse_int(f[10], p.flow_id)) {
+    if (!row.ints_ok) {
       count(r, IngestErrorCategory::kBadField, idx,
-            "csv: numeric field failed strict parse or overflowed its width", row);
+            "csv: numeric field failed strict parse or overflowed its width", raw);
       continue;
     }
-    if (p.ft.proto != traffic::kProtoTcp && p.ft.proto != traffic::kProtoUdp &&
-        p.ft.proto != traffic::kProtoIcmp) {
+    const auto& v = row.v;
+    const auto proto = static_cast<std::uint8_t>(v[4]);
+    if (proto != traffic::kProtoTcp && proto != traffic::kProtoUdp &&
+        proto != traffic::kProtoIcmp) {
       count(r, IngestErrorCategory::kUnsupported, idx,
-            "csv: proto " + std::to_string(unsigned{p.ft.proto}) + " not in {1,6,17}", row);
+            "csv: proto " + std::to_string(unsigned{proto}) + " not in {1,6,17}", raw);
       continue;
     }
-    if (flags > 5) {
+    if (v[7] > 5) {
       count(r, IngestErrorCategory::kRangeViolation, idx,
-            "csv: flags ordinal " + std::to_string(unsigned{flags}) + " > 5", row);
+            "csv: flags ordinal " + std::to_string(v[7]) + " > 5", raw);
       continue;
     }
-    if (malicious > 1) {
-      count(r, IngestErrorCategory::kRangeViolation, idx, "csv: malicious must be 0/1", row);
+    if (v[8] > 1) {
+      count(r, IngestErrorCategory::kRangeViolation, idx, "csv: malicious must be 0/1", raw);
       continue;
     }
-    p.flags = static_cast<traffic::TcpFlag>(flags);
-    p.malicious = malicious != 0;
-
-    std::string why;
-    if (!sanitise_ts(p.ts, prev_ts, cfg_.clamp_timestamps, r.stats, &why)) {
-      count(r, IngestErrorCategory::kRangeViolation, idx, "csv: " + why, row);
+    traffic::Packet pk;
+    pk.ts = row.ts;
+    pk.ft = {static_cast<std::uint32_t>(v[0]), static_cast<std::uint32_t>(v[1]),
+             static_cast<std::uint16_t>(v[2]), static_cast<std::uint16_t>(v[3]), proto};
+    pk.length = static_cast<std::uint16_t>(v[5]);
+    pk.ttl = static_cast<std::uint8_t>(v[6]);
+    pk.flags = static_cast<traffic::TcpFlag>(v[7]);
+    pk.malicious = v[8] != 0;
+    pk.flow_id = static_cast<std::uint32_t>(v[9]);
+    if (const std::string_view why = sanitise_ts(pk.ts, prev_ts, cfg_.clamp_timestamps, r.stats);
+        !why.empty()) {
+      count(r, IngestErrorCategory::kRangeViolation, idx, "csv: " + std::string(why), raw);
       continue;
     }
     ++r.stats.accepted;
-    r.trace.packets.push_back(p);
+    r.trace.packets.push_back(pk);
   }
   finish(r);
-  return r;
 }
 
-IngestResult TraceReader::read_pcap(std::string_view bytes) const {
-  IngestResult r;
-  r.quarantine = QuarantineRing(cfg_.limits.quarantine_capacity,
-                                cfg_.limits.quarantine_snippet_bytes);
-
+void TraceReader::read_pcap(std::string_view bytes, IngestResult& r) const {
   const auto container_fail = [&](const std::string& msg) {
     ++r.stats.offered;
     count(r, IngestErrorCategory::kContainer, 0, msg, bytes.substr(0, 24));
     r.container_ok = false;
     r.container_error = msg;
     finish(r);
-    return r;
   };
 
   if (bytes.size() < traffic::kPcapGlobalHeaderLen) {
@@ -375,26 +519,40 @@ IngestResult TraceReader::read_pcap(std::string_view bytes) const {
         continue;
     }
 
-    std::string why;
-    if (!sanitise_ts(p.ts, prev_ts, cfg_.clamp_timestamps, r.stats, &why)) {
-      count(r, IngestErrorCategory::kRangeViolation, idx, "pcap: " + why, frame);
+    if (const std::string_view why = sanitise_ts(p.ts, prev_ts, cfg_.clamp_timestamps, r.stats);
+        !why.empty()) {
+      count(r, IngestErrorCategory::kRangeViolation, idx, "pcap: " + std::string(why), frame);
       continue;
     }
     ++r.stats.accepted;
     r.trace.packets.push_back(p);
   }
   finish(r);
-  return r;
 }
 
 IngestResult TraceReader::read_buffer(std::string_view bytes) const {
+  IngestResult r;
+  read_buffer(bytes, r);
+  return r;
+}
+
+void TraceReader::read_buffer(std::string_view bytes, IngestResult& out) const {
+  out.trace.packets.clear();
+  out.stats = {};
+  out.quarantine.reset(cfg_.limits.quarantine_capacity, cfg_.limits.quarantine_snippet_bytes);
+  out.container_ok = true;
+  out.container_error.clear();
   TraceFormat fmt = cfg_.format;
   if (fmt == TraceFormat::kAuto) {
     std::uint32_t magic = 0;
     if (bytes.size() >= sizeof(magic)) std::memcpy(&magic, bytes.data(), sizeof(magic));
     fmt = magic == traffic::kPcapMagicLE ? TraceFormat::kPcap : TraceFormat::kCsv;
   }
-  return fmt == TraceFormat::kPcap ? read_pcap(bytes) : read_csv(bytes);
+  if (fmt == TraceFormat::kPcap) {
+    read_pcap(bytes, out);
+  } else {
+    read_csv(bytes, out);
+  }
 }
 
 IngestResult TraceReader::read_file(const std::string& path) const {
@@ -470,9 +628,10 @@ IngestResult ingest_trace(const traffic::Trace& trace, const TraceReaderConfig& 
       continue;
     }
     traffic::Packet p = src;
-    std::string why;
-    if (!sanitise_ts(p.ts, prev_ts, cfg.clamp_timestamps, r.stats, &why)) {
-      count(IngestErrorCategory::kRangeViolation, idx, "trace: " + why, snippet_of(src));
+    if (const std::string_view why = sanitise_ts(p.ts, prev_ts, cfg.clamp_timestamps, r.stats);
+        !why.empty()) {
+      count(IngestErrorCategory::kRangeViolation, idx, "trace: " + std::string(why),
+            snippet_of(src));
       continue;
     }
     ++r.stats.accepted;

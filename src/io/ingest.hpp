@@ -64,6 +64,9 @@ class QuarantineRing {
 
   void push(IngestErrorCategory cat, std::uint64_t record_index, std::string detail,
             std::string_view raw);
+  /// Empty the ring and give it a new shape, as a fresh ring of that shape
+  /// would be; the entry storage it already holds is kept.
+  void reset(std::size_t capacity, std::size_t snippet_bytes);
 
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -123,7 +126,9 @@ struct TraceReaderConfig {
 };
 
 /// Everything one read produced. The trace holds only accepted packets, in
-/// offered order with sanitised timestamps.
+/// offered order with sanitised timestamps. A caller that reads batch after
+/// batch keeps one result and refills it (TraceReader::read_buffer(bytes,
+/// out)), so the trace's storage is allocated once, not once per batch.
 struct IngestResult {
   traffic::Trace trace;
   IngestStats stats;
@@ -140,7 +145,10 @@ struct IngestResult {
 /// ts is seconds (printed %.17g so a write/read round-trip is bit-exact);
 /// proto must be 1/6/17; flags is the TcpFlag ordinal (0..5); malicious is
 /// 0/1. Parsing is std::from_chars-strict: leading '+', whitespace padding,
-/// hex, or trailing junk in any field quarantines the row.
+/// hex, or trailing junk in any field quarantines the row. An integer field
+/// is one or more decimal digits (leading zeros allowed) whose value fits the
+/// field's unsigned width; the ts field is parsed by std::from_chars and must
+/// be finite.
 inline constexpr std::string_view kTraceCsvHeader =
     "ts,src_ip,dst_ip,src_port,dst_port,proto,length,ttl,flags,malicious,flow_id";
 
@@ -157,14 +165,19 @@ class TraceReader {
 
   /// Auto-detects pcap vs CSV unless cfg.format pins one.
   IngestResult read_buffer(std::string_view bytes) const;
+  /// The same read into a caller-owned result: `out` is cleared and refilled
+  /// exactly as a fresh read_buffer(bytes) would return it, whatever it held
+  /// before, and keeps the capacity it already has. A clean batch allocates
+  /// nothing once `out` has held a batch as large.
+  void read_buffer(std::string_view bytes, IngestResult& out) const;
   /// An unreadable file is a container error (kContainer), not an exception.
   IngestResult read_file(const std::string& path) const;
 
   const TraceReaderConfig& config() const { return cfg_; }
 
  private:
-  IngestResult read_csv(std::string_view bytes) const;
-  IngestResult read_pcap(std::string_view bytes) const;
+  void read_csv(std::string_view bytes, IngestResult& r) const;
+  void read_pcap(std::string_view bytes, IngestResult& r) const;
   void count(IngestResult& r, IngestErrorCategory cat, std::uint64_t index,
              std::string detail, std::string_view raw) const;
   void finish(IngestResult& r) const;

@@ -8,12 +8,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "daemon/daemon.hpp"
 #include "harness/alloc_counter.hpp"
 #include "switchsim/pipeline.hpp"
+#include "trafficgen/pcap_io.hpp"
 
 namespace iguard::switchsim {
 namespace {
@@ -202,16 +205,16 @@ TEST_F(AllocPathTest, SwapEnabledSteadyStateAllocatesNothing) {
   EXPECT_EQ(pipe.swap_loop()->handle().version(), 1u);
 }
 
-TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
+TEST_F(AllocPathTest, DaemonServingStepIsAllocationFreeOnceWarm) {
   if (!harness::alloc_counting_active()) {
     GTEST_SKIP() << "sanitizer build owns the allocator";
   }
-  // The serving daemon's consumer packet path (ring pop -> shard_of ->
-  // Pipeline::process -> alert cadence check) extends the zero-allocation
-  // invariant to the daemon loop: once the first replay pass has warmed
-  // every flow, drain_some() must be heap-silent. The producer side is
-  // allowed to allocate per *batch* (reader results), never per packet, so
-  // the probe brackets only the drain calls.
+  // The serving daemon extends the zero-allocation invariant to both sides
+  // of its loop. Once the first replay pass has warmed every flow and sized
+  // every reused buffer (source chunk, framer, the reader's IngestResult,
+  // admit buffer), a serving step — pump_once() (read, frame, parse, gate,
+  // push) and drain_some() (pop, route, process, alert cadence) — must be
+  // heap-silent. Both wire formats of the same trace are served.
   traffic::Trace t;
   double ts = 0.0;
   for (int i = 0; i < 8; ++i) {
@@ -222,42 +225,52 @@ TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
                              static_cast<std::uint16_t>(1000 + f), mal));
     }
   }
-  const std::string path = ::testing::TempDir() + "alloc_daemon_trace.csv";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << io::trace_to_csv(t);
+  std::ostringstream pcap;
+  traffic::write_pcap(pcap, t);
+  const std::pair<const char*, std::string> copies[] = {
+      {"alloc_daemon_trace.csv", io::trace_to_csv(t)},
+      {"alloc_daemon_trace.pcap", pcap.str()},
+  };
+  for (const auto& [name, bytes] : copies) {
+    SCOPED_TRACE(name);
+    const std::string path = ::testing::TempDir() + name;
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+
+    daemon::DaemonConfig cfg;
+    cfg.source.path = path;
+    cfg.source.loops = 2;
+    cfg.ring_capacity = 4096;  // holds a full pass: pump never drains inline
+    cfg.pipeline.packet_threshold_n = 4;
+    cfg.pipeline.idle_timeout_delta = 1e9;
+    daemon::Daemon d(cfg, model());
+
+    // Pass 1 (uncounted): every flow classifies — benign to purple, the
+    // malicious ones through blacklist installs to red.
+    while (d.stats().loops_completed < 1) {
+      d.pump_once();
+      d.drain_some(static_cast<std::size_t>(-1));
+    }
+
+    // Pass 2: the same records replayed warm; every step is counted.
+    std::size_t counted = 0, allocs = 0;
+    for (;;) {
+      const std::size_t before = harness::alloc_count();
+      const daemon::Daemon::PumpStatus st = d.pump_once();
+      counted += d.drain_some(static_cast<std::size_t>(-1));
+      allocs += harness::alloc_count() - before;
+      if (st == daemon::Daemon::PumpStatus::kDone) break;
+    }
+    EXPECT_EQ(counted, t.size());
+    EXPECT_EQ(allocs, 0u) << "daemon serving steps allocated " << allocs << " times";
+
+    d.finalize();
+    EXPECT_EQ(daemon::audit_daemon_conservation(d.stats()), "");
+    EXPECT_EQ(d.stats().ingest.accepted, 2 * t.size());
+    std::remove(path.c_str());
   }
-
-  daemon::DaemonConfig cfg;
-  cfg.source.path = path;
-  cfg.source.loops = 2;
-  cfg.ring_capacity = 4096;  // holds a full pass: pump never drains inline
-  cfg.pipeline.packet_threshold_n = 4;
-  cfg.pipeline.idle_timeout_delta = 1e9;
-  daemon::Daemon d(cfg, model());
-
-  // Pass 1 (uncounted): every flow classifies — benign to purple, the
-  // malicious ones through blacklist installs to red.
-  while (d.stats().loops_completed < 1) {
-    d.pump_once();
-    d.drain_some(static_cast<std::size_t>(-1));
-  }
-
-  // Pass 2: the same flows replayed warm; only the drains are counted.
-  std::size_t counted = 0, allocs = 0;
-  for (;;) {
-    const daemon::Daemon::PumpStatus st = d.pump_once();
-    const std::size_t before = harness::alloc_count();
-    counted += d.drain_some(static_cast<std::size_t>(-1));
-    allocs += harness::alloc_count() - before;
-    if (st == daemon::Daemon::PumpStatus::kDone) break;
-  }
-  EXPECT_GT(counted, 0u);
-  EXPECT_EQ(allocs, 0u) << "daemon drain allocated " << allocs << " times";
-
-  d.finalize();
-  EXPECT_EQ(daemon::audit_daemon_conservation(d.stats()), "");
-  std::remove(path.c_str());
 }
 
 TEST_F(AllocPathTest, RecordLabelsOnIsTheOnlySteadyStateAllocator) {

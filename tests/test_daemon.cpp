@@ -27,6 +27,7 @@
 #include "daemon/http.hpp"
 #include "daemon/source.hpp"
 #include "deadline.hpp"
+#include "obs_off.hpp"
 #include "io/chaos.hpp"
 #include "io/overload.hpp"
 #include "ml/rng.hpp"
@@ -315,6 +316,7 @@ TEST(Prometheus, DeterministicRenderingAndNameSanitisation) {
   const std::string b = obs::to_prometheus(reg.snapshot());
   EXPECT_EQ(a, b);  // byte-identical across renders of the same state
 
+  IGUARD_SKIP_IF_OBS_OFF();
   EXPECT_NE(a.find("# TYPE iguard_daemon_pushed untyped\niguard_daemon_pushed 5\n"),
             std::string::npos);
   EXPECT_NE(a.find("iguard_pipeline_shard0_path_red 2\n"), std::string::npos);
@@ -326,6 +328,7 @@ TEST(Prometheus, DeterministicRenderingAndNameSanitisation) {
 }
 
 TEST(Prometheus, SeriesRenderAsLabelledSamples) {
+  IGUARD_SKIP_IF_OBS_OFF();
   obs::Registry reg;
   obs::Series s = reg.series("daemon.loop_packets", 8, 1);
   s.observe(10.0);
@@ -420,8 +423,11 @@ TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
 // timing.* only.
 TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
   Model model;
-  const std::string path =
-      write_temp("daemon_parked.csv", io::trace_to_csv(make_trace(24, 8)));
+  // One malformed record per pass makes each pass raise one quarantine
+  // alert: a pass counter that needs no instrument, so the test waits on
+  // the same signal with -DIGUARD_OBS_OFF.
+  const std::string path = write_temp(
+      "daemon_parked.csv", io::trace_to_csv(make_trace(24, 8)) + "not,a,packet\n");
   obs::Registry reg;
   DaemonConfig cfg = base_config(path);
   cfg.source.loops = 0;  // forever — only request_stop can end it
@@ -430,18 +436,25 @@ TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
   Daemon d(cfg, model.dm);
   const obs::Counter waits = reg.counter("timing.daemon.producer_waits");
 
+  // Each pass pushes 192 packets through the two-slot ring, so the
+  // producer parks on it many times a pass.
   run_within_deadline(std::chrono::seconds(60), "stop with a parked producer", [&] {
     std::thread server([&] { d.run(); });
-    while (waits.value() < 50) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    while (d.alerts().total(AlertKind::kQuarantine) < 3 || (kObsOn && waits.value() < 50)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     d.request_stop();
     server.join();
   });
 
   const DaemonStats s = d.stats();
   EXPECT_EQ(audit_daemon_conservation(s), "");
+  EXPECT_GE(s.ingest.quarantined, 3u);  // three passes were served
   EXPECT_GT(s.sim.packets, 0u);
-  EXPECT_GE(waits.value(), 50u);
   EXPECT_EQ(strip_timing(d.metrics_text()).find("producer_waits"), std::string::npos);
+  if (kObsOn) {
+    EXPECT_GE(waits.value(), 50u);
+  }
 }
 
 // Regression: a stop mid-file handed the framer's partial record — the head
@@ -605,6 +618,60 @@ TEST(Daemon, InvalidConfigThrowsStructuredError) {
     EXPECT_EQ(validate_config(cfg).rfind("pipeline.idle_timeout_delta: ", 0), 0u)
         << validate_config(cfg);
   }
+}
+
+// Regression: the reader numbers records from 0 in every batch, and the
+// daemon copied those batch-relative indices into its stream-long ring — a
+// malformed record 20 records into the stream, read in batches of 8, came
+// back as record 4.
+TEST(Daemon, QuarantineIndexCountsRecordsSinceStart) {
+  Model model;
+  std::string csv = io::trace_to_csv(make_trace(6, 5));  // 30 records
+  std::size_t at = 0;
+  for (int line = 0; line < 21; ++line) at = csv.find('\n', at) + 1;  // record 20
+  csv.insert(at, "zz");  // its ts no longer parses
+  const std::string path = write_temp("daemon_quarantine_index.csv", csv);
+  DaemonConfig cfg = base_config(path);
+  cfg.max_batch_records = 8;
+  Daemon d(cfg, model.dm);
+  d.run_synchronous();
+
+  ASSERT_EQ(d.quarantine().size(), 1u);
+  EXPECT_EQ(d.quarantine()[0].record_index, 20u);
+  EXPECT_EQ(d.quarantine()[0].category, io::IngestErrorCategory::kBadField);
+  EXPECT_GT(d.stats().batches, 3u);
+  EXPECT_EQ(audit_daemon_conservation(d.stats()), "");
+}
+
+// reader.limits.max_records caps what one reader call accepts. The daemon
+// calls the reader once per batch, so the cap applied per batch: 5 per batch
+// of 8 accepted 20 of 30 records where the stream-level replay accepts 5.
+// A daemon rejects the key instead, at construction and on reload.
+TEST(Daemon, RejectsAReaderRecordBudget) {
+  Model model;
+  const std::string path =
+      write_temp("daemon_record_budget.csv", io::trace_to_csv(make_trace(6, 5)));
+  DaemonConfig cfg = base_config(path);
+  cfg.max_batch_records = 8;
+  cfg.reader.limits.max_records = 5;
+  EXPECT_EQ(validate_config(cfg).rfind("reader.limits.max_records: ", 0), 0u)
+      << validate_config(cfg);
+  try {
+    Daemon d(cfg, model.dm);
+    FAIL() << "constructor accepted reader.limits.max_records = 5";
+  } catch (const switchsim::ConfigError& e) {
+    EXPECT_EQ(e.structure(), "DaemonConfig");
+    EXPECT_EQ(e.field(), "reader.limits.max_records");
+  }
+
+  cfg.reader.limits.max_records = 0;
+  Daemon d(cfg, model.dm);
+  DaemonConfig next = d.config_snapshot();
+  next.reader.limits.max_records = 5;
+  EXPECT_EQ(d.request_reload(next).rfind("reader.limits.max_records: ", 0), 0u);
+  d.run_synchronous();
+  EXPECT_EQ(d.stats().ingest.accepted, 30u);
+  EXPECT_EQ(d.stats().reloads_rejected, 1u);
 }
 
 TEST(Daemon, RequestStopDrainsAndAuditsClean) {

@@ -9,6 +9,7 @@
 #include "core/model_swap.hpp"
 #include "fault_audit.hpp"
 #include "ml/rng.hpp"
+#include "obs_off.hpp"
 
 namespace iguard::switchsim {
 namespace {
@@ -410,6 +411,7 @@ TEST_F(FleetTest, ObsExportsPerDevicePrefixesAndFleetAggregates) {
   fc.replay.shards = 2;
   const auto out = replay_fleet(trace, cfg, dm, fc);
   EXPECT_TRUE(AuditFleetConservation(out, trace.size()));
+  IGUARD_SKIP_IF_OBS_OFF();
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.scalars.at("pipeline.fleet.digests"),
             static_cast<double>(out.fleet.digests_observed));

@@ -13,6 +13,7 @@
 
 #include "deadline.hpp"
 #include "fault_audit.hpp"
+#include "obs_off.hpp"
 #include "io/replay.hpp"
 #include "io/spsc_ring.hpp"
 #include "ml/rng.hpp"
@@ -211,6 +212,7 @@ TEST(IngestCsv, RoundTripIsBitExact) {
 }
 
 TEST(IngestCsv, MetricsCountersMatchStats) {
+  IGUARD_SKIP_IF_OBS_OFF();
   obs::Registry reg;
   io::TraceReaderConfig cfg;
   cfg.metrics = &reg;

@@ -11,6 +11,7 @@
 
 #include "ml/rng.hpp"
 #include "obs/metrics.hpp"
+#include "obs_off.hpp"
 #include "switchsim/replay.hpp"
 
 namespace iguard {
@@ -18,16 +19,6 @@ namespace {
 
 using obs::MetricsSnapshot;
 using obs::Registry;
-
-// Under -DIGUARD_OBS_OFF the record bodies compile away and registries stay
-// empty by design; tests that assert recorded values skip themselves. The
-// SimStats invariants (and the rest of the suite) still run.
-#if defined(IGUARD_OBS_OFF)
-#define IGUARD_SKIP_IF_OBS_OFF() \
-  GTEST_SKIP() << "built with IGUARD_OBS_OFF: instruments compiled out"
-#else
-#define IGUARD_SKIP_IF_OBS_OFF() (void)0
-#endif
 
 TEST(ObsRegistry, CounterGetOrCreateSharesStorage) {
   IGUARD_SKIP_IF_OBS_OFF();
