@@ -11,7 +11,9 @@
 #                  compiled match engine diverges from the linear-scan oracle
 #                  on any PL or FL key of the trace, if sharded replay is
 #                  non-deterministic, if the steady-state packet path
-#                  allocates, or if the JSON artifact is malformed
+#                  allocates, if any config's whole-trace allocs_per_packet
+#                  exceeds 0.02 (when allocations are counted), or if the
+#                  JSON artifact is malformed
 #   --perf-gate    Release build + full bench_throughput: fails if any
 #                  compiled config's ns/packet is >25% above the committed
 #                  BENCH_pipeline.json row with the same (engine, shards);
@@ -107,6 +109,13 @@ assert j["sharded_deterministic"] is True, "sharded replay non-deterministic"
 assert j["steady_state_allocs_per_packet"] == 0, "steady-state path allocates"
 engines = {c["engine"] for c in j["configs"]}
 assert engines == {"compiled"}, f"unexpected engines {engines}"
+# Whole-trace allocation budget: with the flat blacklist and leak set only
+# first classifications and leak-set doublings allocate (~0.005/packet on
+# the smoke trace); a per-install or per-packet allocation crosses 0.02.
+if j["alloc_counting_active"]:
+    for c in j["configs"]:
+        assert c["allocs_per_packet"] <= 0.02, (
+            f"{c['shards']}-shard replay allocates {c['allocs_per_packet']} times per packet (> 0.02)")
 print("bench-smoke artifact OK:", sys.argv[1])
 EOF
 }

@@ -73,8 +73,15 @@ std::size_t ModelHandle::register_reader() {
 
 const ModelBundle* ModelHandle::pin(std::size_t reader) {
   std::atomic<const ModelBundle*>& slot = *slots_[reader];
+  const ModelBundle* b = cur_.load(std::memory_order_acquire);
+  // Fast path, every packet between publishes: the slot already holds the
+  // current bundle. Only this reader writes its slot, and on entry the slot
+  // holds null or the bundle its last pin confirmed; that bundle has been
+  // advertised continuously since the confirm, so collect() cannot have
+  // freed it and no other bundle can have reused its address. No store and
+  // no fence are needed to keep protecting it.
+  if (slot.load(std::memory_order_relaxed) == b) return b;
   for (;;) {
-    const ModelBundle* b = cur_.load(std::memory_order_acquire);
     // Hazard protocol: advertise the candidate pointer, then confirm it is
     // still current. The candidate is never dereferenced before the
     // confirm load succeeds, so a concurrent publish+collect that freed it
@@ -83,7 +90,9 @@ const ModelBundle* ModelHandle::pin(std::size_t reader) {
     // pin and keeps the bundle alive. The seq_cst pair provides the
     // StoreLoad ordering the protocol needs.
     slot.store(b, std::memory_order_seq_cst);
-    if (cur_.load(std::memory_order_seq_cst) == b) return b;
+    const ModelBundle* now = cur_.load(std::memory_order_seq_cst);
+    if (now == b) return b;
+    b = now;
   }
 }
 

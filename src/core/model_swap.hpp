@@ -60,8 +60,9 @@ std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t version, VoteWhite
 
 /// Atomic publication point for ModelBundles — the epoch/RCU handle sharded
 /// pipelines read per packet. Readers register once (control-plane time),
-/// then pin() per packet: an acquire load of the current pointer plus one
-/// hazard-slot store, allocation-free and lock-free. Writers publish() a new
+/// then pin() per packet: an acquire load of the current pointer, plus one
+/// hazard-slot store only when that pointer differs from the one the slot
+/// already guards; allocation-free and lock-free. Writers publish() a new
 /// bundle with a single pointer swap and later collect() versions no pinned
 /// reader can still reference. Pins are sticky: a slot guards the version
 /// it last pinned until the reader pins a newer one or quiesces, which is

@@ -98,12 +98,21 @@ int CompiledRuleTable::match_index(std::span<const std::uint32_t> key) const {
       return -1;
     }
     // One binary search per field resolves the interval whose mask row
-    // describes exactly the rules covering key[f] on that field.
+    // describes exactly the rules covering key[f] on that field: the last
+    // bound <= key[f], which exists because bounds[0] is always 0. The
+    // search halves a window [base, base + n) that always holds the answer
+    // and picks each half with a conditional move, not a branch the key
+    // makes unpredictable.
     const std::uint64_t* rows[kMaxFields];
     for (std::size_t f = 0; f < g.width; ++f) {
       const FieldIndex& fi = g.fields[f];
-      const auto it = std::upper_bound(fi.bounds.begin(), fi.bounds.end(), key[f]);
-      const std::size_t iv = static_cast<std::size_t>(it - fi.bounds.begin()) - 1;
+      const std::uint32_t* base = fi.bounds.data();
+      for (std::size_t n = fi.bounds.size(); n > 1;) {
+        const std::size_t half = n / 2;
+        base = base[half] <= key[f] ? base + half : base;
+        n -= half;
+      }
+      const std::size_t iv = static_cast<std::size_t>(base - fi.bounds.data());
       if (fi.covered[iv] == 0) return -1;  // no rule covers key[f] here
       rows[f] = fi.masks.data() + iv * g.words;
     }

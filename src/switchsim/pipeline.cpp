@@ -32,6 +32,16 @@ const PipelineConfig& checked(const PipelineConfig& cfg) {
 
 std::string validate_config(const PipelineConfig& cfg) {
   if (cfg.flow_slots == 0) return "flow_slots: must be >= 1 (got 0)";
+  // The flow store and the blacklist are allocated whole at construction;
+  // past these bounds a typo would abort on std::bad_alloc instead of
+  // being reported.
+  if (cfg.flow_slots > FlowStore::kMaxSlotsPerTable) {
+    return "flow_slots: must be <= 2^24 (got " + std::to_string(cfg.flow_slots) + ")";
+  }
+  if (cfg.blacklist_capacity > BlacklistTable::kMaxCapacity) {
+    return "blacklist_capacity: must be <= 2^24 (got " +
+           std::to_string(cfg.blacklist_capacity) + ")";
+  }
   // to_us() casts delta * 1e6 to uint64; past 2^64 that cast is undefined.
   const double d = cfg.idle_timeout_delta;
   if (!std::isfinite(d) || d * 1e6 >= 0x1p64) {
@@ -155,7 +165,7 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
   controller_.advance_to(p.ts);
   if (swap_ != nullptr) {
     // Hitless pickup: publish anything due by now, then pin. Rebinding only
-    // happens on a version change, so the steady state is two atomic ops.
+    // happens on a version change, so the steady state is two atomic loads.
     const core::ModelBundle* b = swap_->advance_and_pin(p.ts);
     if (b != bound_) bind_bundle(b);
   }
@@ -185,7 +195,7 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
       if (resident.label >= 0) {
         // Resident flow already classified: reclaim the slot for this flow.
         store_.clear_slot(resident);
-        resident.update(p, store_.signature(p.ft));
+        resident.update(p, acc.sig);
         ++stats.green_mirrors;  // loopback mirror re-initialises flow ID
       }
       verdict = classify_pl(p);
@@ -215,10 +225,10 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
           count(stats, Path::kBlue);
           path = Path::kBlue;
           finalize_flow(p, flow_key, st, stats);
-          st.update(p, store_.signature(p.ft));
+          st.update(p, acc.sig);
           verdict = classify_pl(p);
         } else {
-          st.update(p, store_.signature(p.ft));
+          st.update(p, acc.sig);
           if (cfg_.packet_threshold_n > 0 && st.pkt_count >= cfg_.packet_threshold_n) {
             // --- blue (n-th packet) ----------------------------------------
             count(stats, Path::kBlue);

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/whitelist.hpp"
@@ -90,10 +89,12 @@ struct PipelineConfig {
 };
 
 /// Empty string when `cfg` is well-formed, otherwise "field: problem" for
-/// the first violated invariant: flow_slots >= 1, and idle_timeout_delta
-/// finite with delta * 1e6 below 2^64 (it is converted to integer µs; a
-/// value <= 0 means no idle timeout). Pipeline's constructor throws
-/// ConfigError on a non-empty result.
+/// the first violated invariant: 1 <= flow_slots <= 2^24
+/// (FlowStore::kMaxSlotsPerTable), blacklist_capacity <= 2^24
+/// (BlacklistTable::kMaxCapacity), and idle_timeout_delta finite with
+/// delta * 1e6 below 2^64 (it is converted to integer µs; a value <= 0
+/// means no idle timeout). Pipeline's constructor throws ConfigError on a
+/// non-empty result.
 std::string validate_config(const PipelineConfig& cfg);
 
 enum class Path : std::size_t { kRed = 0, kBrown, kBlue, kOrange, kPurple, kGreen };
@@ -219,7 +220,7 @@ class Pipeline {
   const core::ModelBundle* bound_ = nullptr;
   /// Bi-hash keys of flows the data plane has classified malicious, with
   /// which leaked packets (admitted after classification) are detected.
-  std::unordered_set<std::uint64_t> malicious_classified_;
+  FlowKeySet malicious_classified_;
   Obs obs_;
   std::size_t slots_claimed_ = 0;      // incremental flow-store occupancy
   std::size_t last_evictions_ = 0;     // blacklist eviction delta tracking

@@ -4,31 +4,44 @@
 
 namespace iguard::switchsim {
 
+namespace {
+// Signatures are never 0: 0 marks an empty slot.
+std::uint64_t nonzero(std::uint64_t sig) { return sig == 0 ? 1 : sig; }
+}  // namespace
+
 FlowStore::FlowStore(std::size_t slots_per_table, std::uint64_t seed)
-    : table1_(slots_per_table),
-      table2_(slots_per_table),
-      seed1_(seed ^ 0xA5A5A5A5ull),
-      seed2_(seed ^ 0x3C3C3C3Cull),
-      sig_seed_(seed) {
+    : seed1_(seed ^ 0xA5A5A5A5ull), seed2_(seed ^ 0x3C3C3C3Cull), sig_seed_(seed) {
   if (slots_per_table == 0) throw std::invalid_argument("FlowStore: zero slots");
+  if (slots_per_table > kMaxSlotsPerTable) {
+    throw std::invalid_argument("FlowStore: more than 2^24 slots per table");
+  }
+  table1_.resize(slots_per_table);
+  table2_.resize(slots_per_table);
 }
 
 std::uint64_t FlowStore::signature(const traffic::FiveTuple& ft) const {
-  // Never 0 (0 marks an empty slot).
-  const std::uint64_t s = traffic::bihash(ft, sig_seed_);
-  return s == 0 ? 1 : s;
+  return nonzero(traffic::bihash(ft, sig_seed_));
+}
+
+FlowStore::Probe FlowStore::probe(const traffic::FiveTuple& ft) const {
+  const traffic::FiveTuple c = ft.canonical();
+  const std::size_t n = table1_.size();
+  return {nonzero(traffic::dirhash(c, sig_seed_)),
+          traffic::hash_slot(traffic::dirhash(c, seed1_), n),
+          traffic::hash_slot(traffic::dirhash(c, seed2_), n)};
 }
 
 FlowStore::Access FlowStore::access(const traffic::FiveTuple& ft) {
-  const std::uint64_t sig = signature(ft);
-  IntFlowState& s1 = table1_[static_cast<std::size_t>(traffic::bihash(ft, seed1_)) % table1_.size()];
-  IntFlowState& s2 = table2_[static_cast<std::size_t>(traffic::bihash(ft, seed2_)) % table2_.size()];
+  const Probe pr = probe(ft);
+  IntFlowState& s1 = table1_[pr.i1];
+  IntFlowState& s2 = table2_[pr.i2];
 
   Access a;
-  if (!s1.empty() && s1.sig == sig) {
+  a.sig = pr.sig;
+  if (!s1.empty() && s1.sig == pr.sig) {
     a.state = &s1;
     a.found = true;
-  } else if (!s2.empty() && s2.sig == sig) {
+  } else if (!s2.empty() && s2.sig == pr.sig) {
     a.state = &s2;
     a.found = true;
   } else if (s1.empty()) {
@@ -47,13 +60,11 @@ FlowStore::Access FlowStore::access(const traffic::FiveTuple& ft) {
 }
 
 const IntFlowState* FlowStore::find(const traffic::FiveTuple& ft) const {
-  const std::uint64_t sig = signature(ft);
-  const IntFlowState& s1 =
-      table1_[static_cast<std::size_t>(traffic::bihash(ft, seed1_)) % table1_.size()];
-  const IntFlowState& s2 =
-      table2_[static_cast<std::size_t>(traffic::bihash(ft, seed2_)) % table2_.size()];
-  if (!s1.empty() && s1.sig == sig) return &s1;
-  if (!s2.empty() && s2.sig == sig) return &s2;
+  const Probe pr = probe(ft);
+  const IntFlowState& s1 = table1_[pr.i1];
+  const IntFlowState& s2 = table2_[pr.i2];
+  if (!s1.empty() && s1.sig == pr.sig) return &s1;
+  if (!s2.empty() && s2.sig == pr.sig) return &s2;
   return nullptr;
 }
 

@@ -27,11 +27,6 @@ void throw_if_invalid(const ReplayConfig& cfg) {
 
 }  // namespace
 
-std::size_t shard_of(const traffic::FiveTuple& ft, std::size_t shards, std::uint64_t seed) {
-  if (shards <= 1) return 0;
-  return static_cast<std::size_t>(traffic::bihash(ft, seed) % shards);
-}
-
 std::vector<traffic::Trace> shard_trace(const traffic::Trace& trace, const ReplayConfig& cfg) {
   throw_if_invalid(cfg);
   const std::size_t k = cfg.shards;

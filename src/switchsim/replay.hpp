@@ -40,10 +40,14 @@ struct ReplayConfig {
 /// (throwing ConfigError) by replay_sharded and shard_trace.
 std::string validate_config(const ReplayConfig& cfg);
 
-/// Shard owning a 5-tuple. Direction-invariant: both directions of a
-/// connection map to the same shard (bihash is order-independent).
-std::size_t shard_of(const traffic::FiveTuple& ft, std::size_t shards,
-                     std::uint64_t seed = ReplayConfig{}.shard_seed);
+/// Shard owning a 5-tuple: bihash(ft, seed) mod shards, by mask when
+/// shards is a power of two (traffic::hash_slot). Direction-invariant: both
+/// directions of a connection map to the same shard (bihash is
+/// order-independent). Inline: the daemon routes every packet through it.
+inline std::size_t shard_of(const traffic::FiveTuple& ft, std::size_t shards,
+                            std::uint64_t seed = ReplayConfig{}.shard_seed) {
+  return shards <= 1 ? 0 : traffic::hash_slot(traffic::bihash(ft, seed), shards);
+}
 
 /// Partition a trace into `cfg.shards` flow-disjoint sub-traces, preserving
 /// packet order within each shard.

@@ -79,7 +79,8 @@ class SwapLoop final : public WhitelistUpdateSink {
   const core::ModelBundle* pin_current();
 
   /// Hot path, once per packet: make a due pending publish live, then pin.
-  /// Allocation-free when nothing is due (two atomic ops).
+  /// Allocation-free when nothing is due (two atomic loads and no store
+  /// while the pinned version is current).
   const core::ModelBundle* advance_and_pin(double now_ts_s);
 
   /// WhitelistUpdateSink: one delivered benign mirror (event-clocked).

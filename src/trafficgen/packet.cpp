@@ -4,28 +4,6 @@
 
 namespace iguard::traffic {
 
-namespace {
-// SplitMix64 finaliser — cheap, well-mixed 64-bit hash step.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
-std::uint64_t dirhash(const FiveTuple& ft, std::uint64_t seed) {
-  std::uint64_t h = mix64(seed ^ (static_cast<std::uint64_t>(ft.src_ip) << 32 | ft.dst_ip));
-  h = mix64(h ^ (static_cast<std::uint64_t>(ft.src_port) << 32 |
-                 static_cast<std::uint64_t>(ft.dst_port) << 16 | ft.proto));
-  return h;
-}
-
-std::uint64_t bihash(const FiveTuple& ft, std::uint64_t seed) {
-  // Canonicalise the direction so (a -> b) and (b -> a) hash identically.
-  return dirhash(ft.canonical(), seed);
-}
-
 void Trace::sort_by_time() {
   std::stable_sort(packets.begin(), packets.end(),
                    [](const Packet& a, const Packet& b) { return a.ts < b.ts; });

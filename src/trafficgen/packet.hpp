@@ -5,6 +5,7 @@
 // labels used only by the evaluation harness.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,12 +33,37 @@ struct FiveTuple {
   }
 };
 
+/// SplitMix64 finaliser — cheap, well-mixed 64-bit hash step.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Order-dependent hash (exact-match table keying). Inline: the packet path
+/// hashes one tuple under several seeds per packet.
+inline std::uint64_t dirhash(const FiveTuple& ft, std::uint64_t seed = 0) {
+  const std::uint64_t h = mix64(seed ^ (static_cast<std::uint64_t>(ft.src_ip) << 32 | ft.dst_ip));
+  return mix64(h ^ (static_cast<std::uint64_t>(ft.src_port) << 32 |
+                    static_cast<std::uint64_t>(ft.dst_port) << 16 | ft.proto));
+}
+
 /// 64-bit order-independent (bidirectional) hash of a 5-tuple — the paper's
 /// "bi-hash": both directions of a connection index the same flow state.
-std::uint64_t bihash(const FiveTuple& ft, std::uint64_t seed = 0);
+/// Equal to dirhash(ft.canonical(), seed), so a caller hashing one tuple
+/// under several seeds canonicalises once and calls dirhash.
+inline std::uint64_t bihash(const FiveTuple& ft, std::uint64_t seed = 0) {
+  return dirhash(ft.canonical(), seed);
+}
 
-/// Order-dependent hash (exact-match table keying).
-std::uint64_t dirhash(const FiveTuple& ft, std::uint64_t seed = 0);
+/// Bucket of hash `h` among `n` >= 1 buckets: h mod n, taken as a mask when
+/// n is a power of two (the two agree there), so power-of-two tables skip
+/// the division.
+inline std::size_t hash_slot(std::uint64_t h, std::size_t n) {
+  return (n & (n - 1)) == 0 ? static_cast<std::size_t>(h & (n - 1))
+                            : static_cast<std::size_t>(h % n);
+}
 
 enum class TcpFlag : std::uint8_t { kNone = 0, kSyn = 1, kAck = 2, kSynAck = 3, kFin = 4, kRst = 5 };
 

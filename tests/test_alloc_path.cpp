@@ -126,6 +126,49 @@ TEST_F(AllocPathTest, BrownPathAllocatesNothing) {
   EXPECT_EQ(st.path(Path::kBrown), 5001u);
 }
 
+TEST_F(AllocPathTest, FifoBlacklistChurnAllocatesNothing) {
+  if (!harness::alloc_counting_active()) {
+    GTEST_SKIP() << "sanitizer build owns the allocator";
+  }
+  // Eight malicious flows cycle through a two-entry FIFO blacklist and a
+  // one-slot flow store. Each visit, a flow reclaims a classified resident's
+  // slot (orange), is re-classified malicious (blue: digest, install,
+  // eviction of the oldest rule) and is dropped (red). Re-classification
+  // re-inserts a key the leak set already holds, so once warm every
+  // structure stays at its size: installs and evictions must not allocate.
+  PipelineConfig cfg;
+  cfg.packet_threshold_n = 2;
+  cfg.idle_timeout_delta = 1e6;
+  cfg.flow_slots = 1;
+  cfg.blacklist_capacity = 2;
+  cfg.record_labels = false;
+  const auto dm = model();
+  Pipeline pipe(cfg, dm);
+  SimStats st;
+  double ts = 0.0;
+  const auto round = [&] {
+    for (std::uint32_t f = 0; f < 8; ++f) {
+      for (int i = 0; i < 3; ++i) {
+        pipe.process(mk(ts += 0.0001, 1400, 20 + f, static_cast<std::uint16_t>(2000 + f), true),
+                     st);
+      }
+    }
+  };
+  for (int r = 0; r < 3; ++r) round();
+  const std::size_t classified = st.flows_classified;
+  const std::size_t evictions = pipe.blacklist().evictions();
+
+  const std::size_t before = harness::alloc_count();
+  for (int r = 0; r < 50; ++r) round();
+  const std::size_t delta = harness::alloc_count() - before;
+  EXPECT_EQ(delta, 0u) << "blacklist churn allocated " << delta << " times";
+  // The probe really churned: seven re-classifications and seven FIFO
+  // evictions per round (one flow stays resident in the second way).
+  EXPECT_EQ(st.flows_classified - classified, 50u * 7u);
+  EXPECT_EQ(pipe.blacklist().evictions() - evictions, 50u * 7u);
+  EXPECT_EQ(pipe.blacklist().size(), 2u);
+}
+
 TEST_F(AllocPathTest, SteadyStateStaysAllocationFreeWithMetricsEnabled) {
   if (!harness::alloc_counting_active()) {
     GTEST_SKIP() << "sanitizer build owns the allocator";
@@ -176,7 +219,7 @@ TEST_F(AllocPathTest, SwapEnabledSteadyStateAllocatesNothing) {
   // ModelBundle through the hazard-slot protocol (core/model_swap.hpp). On
   // paths with no flow finalisation (purple/red/brown) no mirrors are
   // emitted and no publish is due, so the pin must be the only extra work —
-  // two atomic ops, zero heap traffic.
+  // two atomic loads, zero heap traffic.
   PipelineConfig cfg;
   cfg.packet_threshold_n = 4;
   cfg.idle_timeout_delta = 1e6;

@@ -587,10 +587,15 @@ TEST(Daemon, StructuralReloadIsRejectedWithAReason) {
   bad.ring_capacity = 0;
   EXPECT_FALSE(d.request_reload(bad).empty());
 
+  // An oversized table is refused by validation before it could allocate.
+  DaemonConfig huge = d.config_snapshot();
+  huge.pipeline.flow_slots = std::size_t{1} << 40;
+  EXPECT_EQ(d.request_reload(huge).rfind("pipeline.flow_slots: ", 0), 0u);
+
   d.run_synchronous();
   const DaemonStats s = d.stats();
   EXPECT_EQ(s.reloads_applied, 0u);
-  EXPECT_EQ(s.reloads_rejected, 2u);
+  EXPECT_EQ(s.reloads_rejected, 3u);
   EXPECT_EQ(audit_daemon_conservation(s), "");
 }
 
@@ -617,6 +622,22 @@ TEST(Daemon, InvalidConfigThrowsStructuredError) {
     cfg.pipeline.idle_timeout_delta = bad;
     EXPECT_EQ(validate_config(cfg).rfind("pipeline.idle_timeout_delta: ", 0), 0u)
         << validate_config(cfg);
+  }
+  // Both tables are allocated whole at construction: a 2^40 entry request
+  // must be a structured config error, not an uncaught std::bad_alloc.
+  cfg.pipeline.idle_timeout_delta = 10.0;
+  cfg.pipeline.flow_slots = std::size_t{1} << 40;
+  EXPECT_EQ(validate_config(cfg).rfind("pipeline.flow_slots: ", 0), 0u) << validate_config(cfg);
+  cfg.pipeline.flow_slots = 16;
+  cfg.pipeline.blacklist_capacity = std::size_t{1} << 40;
+  EXPECT_EQ(validate_config(cfg).rfind("pipeline.blacklist_capacity: ", 0), 0u)
+      << validate_config(cfg);
+  try {
+    Daemon d(cfg, model.dm);
+    FAIL() << "constructor accepted a 2^40-entry blacklist";
+  } catch (const switchsim::ConfigError& e) {
+    EXPECT_EQ(e.structure(), "DaemonConfig");
+    EXPECT_EQ(e.field(), "pipeline.blacklist_capacity");
   }
 }
 

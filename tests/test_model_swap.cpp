@@ -113,6 +113,36 @@ TEST(ModelHandle, ManyReadersEachHoldTheirOwnPin) {
   EXPECT_EQ(h.collect(), 1u);
 }
 
+TEST(ModelHandle, UnchangedPinStillGuardsItsBundle) {
+  // pin() skips the hazard-slot store when the slot already holds the
+  // current bundle. The skipped store must not weaken the protection: a
+  // repeated pin keeps its bundle alive across publish + collect, and a pin
+  // that sees a new version moves the slot so the old one is reclaimed.
+  ModelHandle h(bundle_v(1));
+  const std::size_t r = h.register_reader();
+  const ModelBundle* v1 = h.pin(r);
+  EXPECT_EQ(h.pin(r), v1);  // unchanged: the fast path
+  h.publish(bundle_v(2));
+  EXPECT_EQ(h.collect(), 0u);
+  EXPECT_EQ(h.retired_pending(), 1u);
+  EXPECT_EQ(v1->version, 1u);  // still dereferenceable
+  EXPECT_EQ(v1->fl.tree_count, 3u);
+  const ModelBundle* v2 = h.pin(r);  // changed: the slot moves to v2
+  EXPECT_EQ(v2->version, 2u);
+  EXPECT_EQ(h.collect(), 1u);
+  EXPECT_EQ(h.pin(r), v2);
+  h.publish(bundle_v(3));
+  EXPECT_EQ(h.pin(r)->version, 3u);
+  EXPECT_EQ(h.collect(), 1u);
+  // After quiesce the slot is empty, so the next pin takes the full
+  // protocol again and guards the current version.
+  h.quiesce(r);
+  const ModelBundle* v3 = h.pin(r);
+  h.publish(bundle_v(4));
+  EXPECT_EQ(h.collect(), 0u);
+  EXPECT_EQ(v3->version, 3u);
+}
+
 TEST(ModelHandle, ConcurrentReadersNeverSeeAFreedBundle) {
   ModelHandle h(bundle_v(1));
   constexpr int kReaders = 4;

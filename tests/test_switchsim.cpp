@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <limits>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "switchsim/faults.hpp"
 #include "switchsim/flow_state.hpp"
@@ -117,6 +122,77 @@ TEST(FlowStore, CollisionWhenBothWaysFull) {
   EXPECT_EQ(store.occupied(), 2u);
 }
 
+TEST(FlowStore, AccessMatchesModuloIndexedReference) {
+  // FlowStore indexes by mask when slots_per_table is a power of two and by
+  // % otherwise; both must pick exactly the slot `h % n` picks. A reference
+  // store replays the same accesses with % indexing; every access must
+  // agree on the outcome, on sig == signature(ft), and on the slot (checked
+  // by pointer offsets from the first slot seen in each table).
+  constexpr std::uint64_t kSeed = 0x5117c4;  // FlowStore's default seed
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{1000}}) {
+    SCOPED_TRACE(n);
+    FlowStore store(n);
+    std::vector<std::uint64_t> ref[2] = {std::vector<std::uint64_t>(n),
+                                          std::vector<std::uint64_t>(n)};
+    const IntFlowState* anchor[2] = {nullptr, nullptr};
+    std::size_t anchor_idx[2] = {0, 0};
+    SplitMix64 rng(n);
+    for (int op = 0; op < 4 * static_cast<int>(n); ++op) {
+      traffic::FiveTuple ft{static_cast<std::uint32_t>(rng.next()),
+                            static_cast<std::uint32_t>(rng.next()),
+                            static_cast<std::uint16_t>(rng.next()),
+                            static_cast<std::uint16_t>(rng.next()), traffic::kProtoUdp};
+      if (rng.chance(0.5)) ft = ft.reversed();
+      std::uint64_t sig = traffic::bihash(ft, kSeed);
+      sig = sig == 0 ? 1 : sig;
+      const std::size_t idx[2] = {
+          static_cast<std::size_t>(traffic::bihash(ft, kSeed ^ 0xA5A5A5A5ull) % n),
+          static_cast<std::size_t>(traffic::bihash(ft, kSeed ^ 0x3C3C3C3Cull) % n)};
+      int table = 0;
+      bool found = false, inserted = false, collision = false;
+      if (ref[0][idx[0]] == sig) {
+        found = true;
+      } else if (ref[1][idx[1]] == sig) {
+        table = 1;
+        found = true;
+      } else if (ref[0][idx[0]] == 0) {
+        inserted = true;
+      } else if (ref[1][idx[1]] == 0) {
+        table = 1;
+        inserted = true;
+      } else {
+        collision = true;
+      }
+
+      const FlowStore::Access acc = store.access(ft);
+      ASSERT_EQ(acc.sig, store.signature(ft));
+      ASSERT_EQ(acc.sig, sig);
+      ASSERT_EQ(acc.found, found);
+      ASSERT_EQ(acc.inserted, inserted);
+      ASSERT_EQ(acc.collision, collision);
+      if (anchor[table] == nullptr) {
+        anchor[table] = acc.state;
+        anchor_idx[table] = idx[table];
+      }
+      ASSERT_EQ(acc.state - anchor[table],
+                static_cast<std::ptrdiff_t>(idx[table]) -
+                    static_cast<std::ptrdiff_t>(anchor_idx[table]));
+      if (inserted) {
+        traffic::Packet p;
+        p.ft = ft;
+        acc.state->update(p, acc.sig);
+        ref[table][idx[table]] = sig;
+      }
+    }
+    EXPECT_EQ(store.occupied(),
+              static_cast<std::size_t>(std::count_if(ref[0].begin(), ref[0].end(),
+                                                     [](std::uint64_t v) { return v != 0; }) +
+                                       std::count_if(ref[1].begin(), ref[1].end(),
+                                                     [](std::uint64_t v) { return v != 0; })));
+  }
+  EXPECT_THROW(FlowStore(FlowStore::kMaxSlotsPerTable + 1), std::invalid_argument);
+}
+
 // --- BlacklistTable / Controller ----------------------------------------------
 
 TEST(Blacklist, InstallAndMatchBothDirections) {
@@ -174,31 +250,87 @@ TEST(Blacklist, FifoQueueBoundedByLiveEntries) {
   EXPECT_EQ(bl.order_queue_size(), 2u);
 }
 
-TEST(Blacklist, FifoCompactsStaleKeysFromErase) {
-  // erase() leaves withdrawn keys in the FIFO queue; the next full-table
-  // install must skip them (no eviction charged) instead of evicting a
-  // live entry that merely sits behind them.
-  BlacklistTable bl(3, EvictionPolicy::kFifo);
-  const auto f1 = mk(0, 0, 1, 1).ft;
-  const auto f2 = mk(0, 0, 2, 2).ft;
-  const auto f3 = mk(0, 0, 3, 3).ft;
-  const auto f4 = mk(0, 0, 4, 4).ft;
-  bl.install(f1);
-  bl.install(f2);
-  bl.install(f3);
-  EXPECT_TRUE(bl.erase(f1));
-  EXPECT_TRUE(bl.erase(f2));
-  EXPECT_FALSE(bl.erase(f2));  // already gone
-  EXPECT_EQ(bl.size(), 1u);
-  EXPECT_EQ(bl.order_queue_size(), 3u);  // f1, f2 stale
-  bl.install(f4);                        // room: no eviction, no compaction yet
-  EXPECT_EQ(bl.evictions(), 0u);
-  bl.install(f1);  // full again: compaction runs, f3 is the true oldest
-  EXPECT_EQ(bl.evictions(), 0u);  // stale keys popped for free, table has room
-  EXPECT_TRUE(bl.contains(f3));
-  EXPECT_TRUE(bl.contains(f4));
-  EXPECT_TRUE(bl.contains(f1));
-  EXPECT_EQ(bl.size(), 3u);
+TEST(Blacklist, FifoMatchesDequeReference) {
+  // The flat table (open addressing + install-order ring) against the
+  // container model it replaced: a deque of live keys in install order and
+  // a hash set of members. Random installs, duplicate installs and lookups
+  // at capacities 1, 2 and 16; membership, size, ring length and evictions
+  // must agree after every operation.
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+    SCOPED_TRACE(cap);
+    BlacklistTable bl(cap, EvictionPolicy::kFifo);
+    std::deque<std::uint64_t> order;
+    std::unordered_set<std::uint64_t> live;
+    std::size_t ref_evictions = 0;
+    SplitMix64 rng(0xF1F0 + cap);
+    for (int op = 0; op < 5000; ++op) {
+      const auto ft = mk(0, 0, static_cast<std::uint32_t>(1 + rng.next() % 48),
+                         static_cast<std::uint16_t>(1 + rng.next() % 4))
+                          .ft;
+      const std::uint64_t k = BlacklistTable::flow_key(ft);
+      if (rng.chance(0.4)) {
+        ASSERT_EQ(bl.contains(rng.chance(0.5) ? ft : ft.reversed()), live.contains(k));
+      } else {
+        const bool fresh = !live.contains(k);
+        if (fresh) {
+          if (live.size() >= cap) {
+            live.erase(order.front());
+            order.pop_front();
+            ++ref_evictions;
+          }
+          live.insert(k);
+          order.push_back(k);
+        }
+        ASSERT_EQ(bl.install(ft), fresh);
+      }
+      ASSERT_EQ(bl.size(), live.size());
+      ASSERT_EQ(bl.order_queue_size(), order.size());
+      ASSERT_EQ(bl.evictions(), ref_evictions);
+    }
+    for (std::uint32_t src = 1; src <= 48; ++src) {
+      for (std::uint16_t sp = 1; sp <= 4; ++sp) {
+        const auto ft = mk(0, 0, src, sp).ft;
+        EXPECT_EQ(bl.contains(ft), live.contains(BlacklistTable::flow_key(ft)));
+      }
+    }
+  }
+}
+
+TEST(Blacklist, CapacityEdges) {
+  // Capacity 0 keeps an empty one-slot table; past kMaxCapacity the
+  // constructor refuses before allocating.
+  BlacklistTable bl(0);
+  EXPECT_FALSE(bl.install(mk(0, 0, 1, 1).ft));
+  EXPECT_FALSE(bl.contains(mk(0, 0, 1, 1).ft));
+  EXPECT_EQ(bl.size(), 0u);
+  EXPECT_THROW(BlacklistTable(BlacklistTable::kMaxCapacity + 1), std::invalid_argument);
+}
+
+TEST(FlowKeySet, MatchesUnorderedSetThroughDoublings) {
+  // Key 0 is the empty-slot marker internally, so it is covered explicitly;
+  // 3000 distinct keys force several doublings from the initial table.
+  FlowKeySet set;
+  std::unordered_set<std::uint64_t> ref;
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(42));
+  SplitMix64 rng(0x5E7);
+  std::vector<std::uint64_t> keys = {0, 1, 2, 16, 32, ~std::uint64_t{0}};
+  for (int i = 0; i < 3000; ++i) keys.push_back(rng.next());
+  // Small sequential keys land in adjacent home slots: long probe runs.
+  for (std::uint64_t k = 100; k < 200; ++k) keys.push_back(k);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    set.insert(keys[i]);
+    ref.insert(keys[i]);
+    if (i % 7 == 0) set.insert(keys[i / 2]);  // duplicates are no-ops
+    ASSERT_EQ(set.size(), ref.size());
+  }
+  for (const std::uint64_t k : keys) EXPECT_TRUE(set.contains(k)) << k;
+  SplitMix64 other(0xD1FF);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t k = other.next();
+    EXPECT_EQ(set.contains(k), ref.contains(k)) << k;
+  }
+  for (std::uint64_t k = 200; k < 300; ++k) EXPECT_FALSE(set.contains(k)) << k;
 }
 
 TEST(Blacklist, DuplicateInstallRefreshSemantics) {
@@ -508,6 +640,19 @@ TEST_F(PipelineTest, InvalidConfigThrowsConfigError) {
   PipelineConfig cfg;
   cfg.flow_slots = 0;
   expect_field(cfg, "flow_slots");
+  // Tables are allocated whole at construction; oversized ones are config
+  // errors, not std::bad_alloc aborts.
+  cfg.flow_slots = FlowStore::kMaxSlotsPerTable + 1;
+  expect_field(cfg, "flow_slots");
+  cfg = {};
+  cfg.blacklist_capacity = BlacklistTable::kMaxCapacity + 1;
+  expect_field(cfg, "blacklist_capacity");
+  cfg.blacklist_capacity = std::size_t{1} << 40;
+  expect_field(cfg, "blacklist_capacity");
+  cfg = {};
+  cfg.flow_slots = FlowStore::kMaxSlotsPerTable;  // the bounds themselves are legal
+  cfg.blacklist_capacity = BlacklistTable::kMaxCapacity;
+  EXPECT_EQ(validate_config(cfg), "");
   // delta is cast to integer µs; +inf or anything past 2^64 µs is UB there.
   for (const double bad : {std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::quiet_NaN(), 1e14}) {
