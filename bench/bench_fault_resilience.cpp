@@ -86,6 +86,7 @@ int main() {
   // separate artifact with "timing." keys stripped, so it is bit-identical
   // run to run like the CSV.
   obs::Registry obs_reg;
+  const switchsim::DeployedModel model = dep.iguard_model();
   for (const auto policy : {switchsim::EvictionPolicy::kFifo, switchsim::EvictionPolicy::kLru}) {
     const std::string pname = policy == switchsim::EvictionPolicy::kFifo ? "fifo" : "lru";
     for (const auto& sc : scenarios) {
@@ -103,7 +104,7 @@ int main() {
         pipe_cfg.metrics_prefix = "pipeline." + pname;
       }
 
-      switchsim::Pipeline pipe(pipe_cfg, dep.iguard_model());
+      switchsim::Pipeline pipe(pipe_cfg, model);
       const auto st = pipe.run(dep.test_trace);
       std::vector<int> truth(st.truth.begin(), st.truth.end());
       std::vector<int> pred(st.pred.begin(), st.pred.end());

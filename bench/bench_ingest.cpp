@@ -159,9 +159,7 @@ int main(int argc, char** argv) {
   std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
   box[5] = {0, quant.quantize_value(5, 600.0)};
   wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &quant;
+  const switchsim::DeployedModel dm = core::build_bundle(1, std::move(wl), quant);
 
   // --- gate 1: hardening on, chaos/overload off == plain replay -------------
   bool passthrough_parity = true;

@@ -188,9 +188,7 @@ BENCHMARK(BM_GuidedForestFit)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond)->Us
 
 void BM_PipelineProcess(benchmark::State& state) {
   const auto& g = *deployed().guard;
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &g.whitelist();
-  dm.fl_quantizer = &g.quantizer();
+  const switchsim::DeployedModel dm = core::build_bundle(1, g.whitelist(), g.quantizer());
   switchsim::PipelineConfig pcfg;
   switchsim::Pipeline pipe(pcfg, dm);
   switchsim::SimStats stats;

@@ -193,10 +193,7 @@ int main(int argc, char** argv) {
   }
   rules::Quantizer quant{16};
   quant.fit(fake);
-  const auto wl = swap_whitelist(quant);
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &quant;
+  const switchsim::DeployedModel dm = core::build_bundle(1, swap_whitelist(quant), quant);
 
   // --- gate 1: swap determinism across shard and thread counts --------------
   bool swap_deterministic = true;

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/alloc_counter.hpp"
@@ -77,47 +78,30 @@ core::VoteWhitelist make_whitelist(const ml::Matrix& features, const rules::Quan
 /// Synthetic deployment: `tables` x `rules_per_table` TCAM entries on BOTH
 /// whitelists. The PL table is what every brown/orange packet consults, so
 /// a realistic per-packet rule budget there is what the match engine is
-/// timed against; the FL tables are hit on every finalisation.
-struct SyntheticModel {
+/// timed against; the FL tables are hit on every finalisation. Compiled
+/// once into one bundle that every pipeline, all K shards included, shares.
+switchsim::DeployedModel synthetic_model(const traffic::Trace& trace,
+                                         const ml::Matrix& fl_features, std::size_t tables,
+                                         std::size_t rules_per_table, ml::Rng& rng) {
   rules::Quantizer fl_quant{16}, pl_quant{16};
-  core::VoteWhitelist fl, pl;
-  core::CompiledVoteWhitelist fl_compiled, pl_compiled;
+  fl_quant.fit(fl_features);
+  core::VoteWhitelist fl = make_whitelist(fl_features, fl_quant, tables, rules_per_table, rng);
 
-  SyntheticModel(const traffic::Trace& trace, const ml::Matrix& fl_features,
-                 std::size_t tables, std::size_t rules_per_table, ml::Rng& rng) {
-    fl_quant.fit(fl_features);
-    fl = make_whitelist(fl_features, fl_quant, tables, rules_per_table, rng);
-
-    // PL features of sampled packets: {dst_port, proto, length, TTL}.
-    const std::size_t n_pl = std::min<std::size_t>(trace.size(), 4096);
-    ml::Matrix pl_features(n_pl, 4);
-    for (std::size_t i = 0; i < n_pl; ++i) {
-      const auto& p = trace.packets[rng.index(trace.size())];
-      pl_features(i, 0) = static_cast<double>(p.ft.dst_port);
-      pl_features(i, 1) = static_cast<double>(p.ft.proto);
-      pl_features(i, 2) = static_cast<double>(p.length);
-      pl_features(i, 3) = static_cast<double>(p.ttl);
-    }
-    pl_quant.fit(pl_features);
-    pl = make_whitelist(pl_features, pl_quant, tables, rules_per_table, rng);
-
-    // Compile once (a control-plane operation); every pipeline — including
-    // all K shard pipelines — shares the read-only result.
-    fl_compiled = core::CompiledVoteWhitelist(fl);
-    pl_compiled = core::CompiledVoteWhitelist(pl);
+  // PL features of sampled packets: {dst_port, proto, length, TTL}.
+  const std::size_t n_pl = std::min<std::size_t>(trace.size(), 4096);
+  ml::Matrix pl_features(n_pl, 4);
+  for (std::size_t i = 0; i < n_pl; ++i) {
+    const auto& p = trace.packets[rng.index(trace.size())];
+    pl_features(i, 0) = static_cast<double>(p.ft.dst_port);
+    pl_features(i, 1) = static_cast<double>(p.ft.proto);
+    pl_features(i, 2) = static_cast<double>(p.length);
+    pl_features(i, 3) = static_cast<double>(p.ttl);
   }
-
-  switchsim::DeployedModel deployed() const {
-    switchsim::DeployedModel dm;
-    dm.fl_tables = &fl;
-    dm.fl_quantizer = &fl_quant;
-    dm.pl_tables = &pl;
-    dm.pl_quantizer = &pl_quant;
-    dm.fl_compiled = &fl_compiled;
-    dm.pl_compiled = &pl_compiled;
-    return dm;
-  }
-};
+  pl_quant.fit(pl_features);
+  core::VoteWhitelist pl = make_whitelist(pl_features, pl_quant, tables, rules_per_table, rng);
+  return core::build_bundle(1, std::move(fl), std::move(fl_quant), std::move(pl),
+                            std::move(pl_quant));
+}
 
 switchsim::PipelineConfig pipe_config(bool record_labels) {
   switchsim::PipelineConfig cfg;
@@ -152,8 +136,8 @@ RunResult measure(const traffic::Trace& trace, const switchsim::DeployedModel& d
   return r;
 }
 
-/// Engine parity at the lookup level: the compiled whitelists must give the
-/// linear oracle's verdict and per-table vote share for every PL key the
+/// Engine parity at the lookup level: the bundle's compiled engines must give
+/// its linear tables' verdict and per-table vote share for every PL key the
 /// trace presents (one per packet) and every FL finalisation key (the
 /// switch extractor's epochs at the bench's n and delta, single-packet
 /// epochs included).
@@ -163,7 +147,7 @@ struct EngineParity {
   bool agree = true;
 };
 
-EngineParity engine_parity(const traffic::Trace& trace, const SyntheticModel& m,
+EngineParity engine_parity(const traffic::Trace& trace, const core::ModelBundle& m,
                            const switchsim::PipelineConfig& cfg) {
   EngineParity out;
   const auto check = [&out](const core::VoteWhitelist& lin,
@@ -176,7 +160,7 @@ EngineParity engine_parity(const traffic::Trace& trace, const SyntheticModel& m,
   for (const auto& p : trace.packets) {
     const double f[4] = {static_cast<double>(p.ft.dst_port), static_cast<double>(p.ft.proto),
                          static_cast<double>(p.length), static_cast<double>(p.ttl)};
-    m.pl_quant.quantize_into(f, pl_key);
+    m.pl_q.quantize_into(f, pl_key);
     check(m.pl, m.pl_compiled, pl_key);
   }
   out.pl_keys = trace.size();
@@ -184,7 +168,7 @@ EngineParity engine_parity(const traffic::Trace& trace, const SyntheticModel& m,
                                                      cfg.idle_timeout_delta, 1);
   std::array<std::uint32_t, switchsim::kSwitchFlFeatures> fl_key;
   for (std::size_t i = 0; i < fl.x.rows(); ++i) {
-    m.fl_quant.quantize_into(fl.x.row(i), fl_key);
+    m.fl_q.quantize_into(fl.x.row(i), fl_key);
     check(m.fl, m.fl_compiled, fl_key);
   }
   out.fl_keys = fl.x.rows();
@@ -256,13 +240,13 @@ int main(int argc, char** argv) {
   const auto features = switchsim::extract_switch_features(benign, 8, 10.0);
   const std::size_t rules_per_table = 512;  // >= the 64-rule acceptance floor
   const std::size_t tables = 5;             // 2560 entries: a realistic TCAM budget
-  SyntheticModel model(benign, features.x, tables, rules_per_table, rng);
-  const auto dm = model.deployed();
+  const switchsim::DeployedModel dm =
+      synthetic_model(benign, features.x, tables, rules_per_table, rng);
 
   // --- correctness gates ----------------------------------------------------
   // 1. Engine parity: the compiled engine matches the linear oracle on every
   //    PL and FL key the trace can present.
-  const EngineParity parity = engine_parity(trace, model, pipe_config(false));
+  const EngineParity parity = engine_parity(trace, *dm, pipe_config(false));
 
   // 2. Shard determinism: same K, different thread counts, same everything.
   switchsim::ReplayConfig det;

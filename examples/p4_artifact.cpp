@@ -37,11 +37,9 @@ int main(int argc, char** argv) {
   core::IGuard guard(gcfg);
   guard.fit(fl.x, pl.x, rng);
 
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &guard.whitelist();
-  dm.fl_quantizer = &guard.quantizer();
-  dm.pl_tables = &guard.pl_model().whitelist();
-  dm.pl_quantizer = &guard.pl_model().quantizer();
+  const switchsim::DeployedModel dm =
+      core::build_bundle(1, guard.whitelist(), guard.quantizer(), guard.pl_model().whitelist(),
+                         guard.pl_model().quantizer());
 
   switchsim::P4EmitOptions opts;
   opts.packet_threshold_n = n;

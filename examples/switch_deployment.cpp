@@ -82,6 +82,7 @@ int main() {
   // The controller recovers by rebuilding blacklist rules from the
   // flow-label registers still resident in the data plane.
   const auto dep = lab.deploy_attack(atk);
+  const switchsim::DeployedModel model = dep.iguard_model();
   const double end_ts = dep.test_trace.packets.back().ts;
   switchsim::PipelineConfig fault_cfg = cfg.pipe;
   fault_cfg.control.control_latency_s = 5e-3;
@@ -94,7 +95,7 @@ int main() {
   // the control-plane backlog series — allocation-free per packet.
   obs::Registry metrics;
   fault_cfg.metrics = &metrics;
-  switchsim::Pipeline degraded(fault_cfg, dep.iguard_model());
+  switchsim::Pipeline degraded(fault_cfg, model);
   const auto fst = degraded.run(dep.test_trace);
 
   eval::Table faults({"control-plane event", "count"});
@@ -141,8 +142,7 @@ int main() {
       0.6 * static_cast<double>(dep.test_trace.size()) / end_ts;
   switchsim::ReplayConfig chaos_rc;
   chaos_rc.shards = 2;
-  const auto drill = io::ingest_replay_sharded(dep.test_trace, icfg, fault_cfg,
-                                               dep.iguard_model(), chaos_rc);
+  const auto drill = io::ingest_replay_sharded(dep.test_trace, icfg, fault_cfg, model, chaos_rc);
   if (const std::string err = io::audit_ingest_conservation(drill); !err.empty()) {
     std::cerr << "ingest conservation audit FAILED: " << err << "\n";
     return 1;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: build + ctest plain (warnings are errors), then
 # under each sanitizer, then with the observability layer compiled out.
-# Usage: scripts/check.sh [--fast|--obs-off|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--csv-drift]
+# Usage: scripts/check.sh [--fast|--obs-off|--bench-smoke|--perf-gate|--obs-smoke|--swap-smoke|--fleet-smoke|--ingest-smoke|--fuzz-smoke|--daemon-smoke|--e2e-smoke|--csv-drift]
 #   --fast         plain build/test only (skip the sanitizer matrix)
 #   --obs-off      build and ctest with -DIGUARD_OBS_OFF=ON, the
 #                  observability layer compiled out: tests that read
@@ -51,6 +51,12 @@
 #                  then repeats the serve-and-drain run under ASan, and
 #                  under TSan with a two-slot ring (the producer parks on
 #                  nearly every batch; any TSan report fails it)
+#   --e2e-smoke    bench/e2e/check.sh --smoke: builds the repo benchmark
+#                  (its own CMake project, into the gitignored .bench_build/)
+#                  and serves every workload through both of its binaries
+#                  with a tiny lab; fails if the benchmark does not build
+#                  against the current API or any of its correctness gates
+#                  fails (25-80 s once built, with host load)
 #   --csv-drift    Release build + regenerate the committed fig*/table*/b*
 #                  CSVs in a scratch dir: fails if any regenerated CSV
 #                  differs from the committed copy (stale-artifact gate)
@@ -463,6 +469,12 @@ fi
 if [[ "${1:-}" == "--daemon-smoke" ]]; then
   daemon_smoke
   echo "=== daemon smoke passed ==="
+  exit 0
+fi
+if [[ "${1:-}" == "--e2e-smoke" ]]; then
+  echo "=== e2e-smoke (bench/e2e, Release) ==="
+  bench/e2e/check.sh --smoke
+  echo "=== e2e smoke passed ==="
   exit 0
 fi
 if [[ "${1:-}" == "--csv-drift" ]]; then

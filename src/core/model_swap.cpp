@@ -20,41 +20,6 @@ std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t version, VoteWhite
   return b;
 }
 
-// --- ModelDistributor ------------------------------------------------------
-
-std::shared_ptr<const ModelBundle> ModelDistributor::get_or_build(std::uint64_t version,
-                                                                  const Builder& build) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++distributions_;
-  for (const auto& [v, b] : cache_) {
-    if (v == version) return b;
-  }
-  if (build == nullptr) throw std::invalid_argument("ModelDistributor: builder is null");
-  auto built = build();
-  if (built == nullptr) throw std::invalid_argument("ModelDistributor: builder returned null");
-  if (built->version != version) {
-    throw std::invalid_argument("ModelDistributor: built bundle version mismatch");
-  }
-  ++compiles_;  // only successful builds count: failures are not cached
-  cache_.emplace_back(version, built);
-  return built;
-}
-
-std::size_t ModelDistributor::compiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return compiles_;
-}
-
-std::size_t ModelDistributor::distributions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return distributions_;
-}
-
-std::size_t ModelDistributor::versions_cached() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
 // --- ModelHandle -----------------------------------------------------------
 
 ModelHandle::ModelHandle(std::shared_ptr<const ModelBundle> initial)
@@ -127,11 +92,6 @@ std::size_t ModelHandle::collect() {
     return true;
   });
   return reclaimed;
-}
-
-std::size_t ModelHandle::readers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slots_.size();
 }
 
 std::size_t ModelHandle::retired_pending() const {

@@ -38,7 +38,8 @@ namespace iguard::core {
 /// classify packets, owned by value so the bundle's lifetime alone keeps
 /// every lookup structure valid. Compilation of the interval-bitmap engines
 /// happens in build_bundle (a control-plane operation, like TCAM
-/// programming) — never on the packet path.
+/// programming) — never on the packet path. A deployment is one bundle
+/// (switchsim::DeployedModel) that all of its pipelines share.
 struct ModelBundle {
   std::uint64_t version = 0;
   VoteWhitelist fl;
@@ -95,7 +96,6 @@ class ModelHandle {
   const ModelBundle* current() const { return cur_.load(std::memory_order_acquire); }
   std::uint64_t version() const { return current()->version; }
   std::uint64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
-  std::size_t readers() const;
   /// Retired-but-not-yet-reclaimed versions (0 once every swap has drained).
   std::size_t retired_pending() const;
 
@@ -110,33 +110,6 @@ class ModelHandle {
   mutable std::mutex mu_;  // guards slots_ growth, live_, retired_
   std::shared_ptr<const ModelBundle> live_;
   std::vector<std::shared_ptr<const ModelBundle>> retired_;
-};
-
-/// Fleet-side model distribution (DESIGN.md §4f): compiling a model version
-/// is a control-plane cost paid once per *version*, never once per device.
-/// get_or_build() returns the cached bundle for `version`, invoking the
-/// builder only on the first request; every device in the fleet then shares
-/// the same immutable compiled tables (a ModelBundle never mutates after
-/// build_bundle, so cross-thread sharing is safe). The compile/distribution
-/// counters let tests and benches assert the once-per-version property.
-class ModelDistributor {
- public:
-  using Builder = std::function<std::shared_ptr<const ModelBundle>()>;
-
-  /// Cached bundle for `version`, building (and caching) on first request.
-  /// Throws std::invalid_argument if the builder returns null or a bundle
-  /// whose version does not match the requested one.
-  std::shared_ptr<const ModelBundle> get_or_build(std::uint64_t version, const Builder& build);
-
-  std::size_t compiles() const;       // cache misses: builder invocations
-  std::size_t distributions() const;  // total get_or_build calls
-  std::size_t versions_cached() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const ModelBundle>>> cache_;
-  std::size_t compiles_ = 0;
-  std::size_t distributions_ = 0;
 };
 
 /// Which drift signal fired (kNone = window closed quietly).

@@ -164,7 +164,6 @@ std::string audit_daemon_conservation(const DaemonStats& s) {
 
 Daemon::Daemon(const DaemonConfig& cfg, const switchsim::DeployedModel& model)
     : cfg_(cfg),
-      model_(&model),
       framer_(cfg.reader.limits.max_record_bytes),
       ring_(cfg.ring_capacity),
       alerts_(cfg.alert_capacity),
@@ -198,7 +197,7 @@ Daemon::Daemon(const DaemonConfig& cfg, const switchsim::DeployedModel& model)
     switchsim::PipelineConfig pc = cfg_.pipeline;
     pc.metrics = cfg_.metrics;
     pc.metrics_prefix = cfg_.metrics_prefix + ".shard" + std::to_string(k);
-    pipelines_.push_back(std::make_unique<switchsim::Pipeline>(pc, *model_));
+    pipelines_.push_back(std::make_unique<switchsim::Pipeline>(pc, model));
   }
 
   admit_buf_.reserve(cfg_.overload.queue_capacity + 1024);

@@ -151,8 +151,10 @@ class Daemon {
     kDone,          // source finished and the ring is closed
   };
 
-  /// Throws switchsim::ConfigError on an invalid config. The model (and the
-  /// registry, when set) must outlive the daemon.
+  /// Every shard binds `model`, the one bundle of the deployment: shards
+  /// share it and never copy or compile rules (a swap-enabled shard seeds
+  /// its loop with it as version 1). Throws switchsim::ConfigError on an
+  /// invalid config. The registry, when set, must outlive the daemon.
   Daemon(const DaemonConfig& cfg, const switchsim::DeployedModel& model);
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -226,7 +228,6 @@ class Daemon {
   bool next_loop_or_finish();      // loop bookkeeping at end of a pass
 
   DaemonConfig cfg_;
-  const switchsim::DeployedModel* model_;
 
   // --- producer state -------------------------------------------------------
   FileTail file_;

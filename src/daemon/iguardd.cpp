@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/config_file.hpp"
@@ -63,29 +64,24 @@ traffic::Trace make_demo_trace(std::size_t flows, std::size_t packets_per_flow) 
   return t;
 }
 
-/// Self-contained bootstrap model: a one-tree whitelist that flags large
-/// packets, quantised over the 13 switch FL features. Owns its storage so
-/// the DeployedModel's borrowed pointers stay valid for the daemon's life.
-struct BootstrapModel {
+/// Self-contained bootstrap model: a one-tree whitelist that flags flows
+/// whose smallest packet exceeds 600 B, quantised over the 13 switch FL
+/// features.
+switchsim::DeployedModel bootstrap_model() {
   rules::Quantizer quant{16};
-  core::VoteWhitelist wl;
-  switchsim::DeployedModel dm;
-
-  BootstrapModel() {
-    ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
-    for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
-      fake(0, j) = 0.0;
-      fake(1, j) = 1e6;
-    }
-    quant.fit(fake);
-    wl.tree_count = 1;
-    std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
-    box[5] = {0, quant.quantize_value(5, 600.0)};
-    wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
-    dm.fl_tables = &wl;
-    dm.fl_quantizer = &quant;
+  ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
+  for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
+    fake(0, j) = 0.0;
+    fake(1, j) = 1e6;
   }
-};
+  quant.fit(fake);
+  core::VoteWhitelist wl;
+  wl.tree_count = 1;
+  std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
+  box[5] = {0, quant.quantize_value(5, 600.0)};
+  wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
+  return core::build_bundle(1, std::move(wl), std::move(quant));
+}
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -194,8 +190,7 @@ int main(int argc, char** argv) {
   // surface as EPIPE on the write, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  BootstrapModel model;
-  daemon::Daemon d(cfg, model.dm);
+  daemon::Daemon d(cfg, bootstrap_model());
 
   daemon::HttpServer http;
   if (metrics_port >= 0) {

@@ -67,19 +67,13 @@ TestbedOutcome TestbedLab::run_attack(traffic::AttackType type) const {
 }
 
 switchsim::DeployedModel Deployment::iguard_model() const {
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &guard->whitelist();
-  dm.fl_quantizer = &guard->quantizer();
-  dm.pl_tables = guard->has_pl_model() ? &guard->pl_model().whitelist() : nullptr;
-  dm.pl_quantizer = guard->has_pl_model() ? &guard->pl_model().quantizer() : nullptr;
-  return dm;
+  if (!guard->has_pl_model()) return core::build_bundle(1, guard->whitelist(), guard->quantizer());
+  return core::build_bundle(1, guard->whitelist(), guard->quantizer(),
+                            guard->pl_model().whitelist(), guard->pl_model().quantizer());
 }
 
 switchsim::DeployedModel Deployment::iforest_model() const {
-  switchsim::DeployedModel dm;
-  dm.fl_tables = &iforest_rules;
-  dm.fl_quantizer = fl_quantizer;
-  return dm;
+  return core::build_bundle(1, iforest_rules, *fl_quantizer);
 }
 
 Deployment TestbedLab::deploy_attack(traffic::AttackType type) const {

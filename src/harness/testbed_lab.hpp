@@ -84,6 +84,9 @@ struct Deployment {
   traffic::Trace test_trace;                // merged benign-test + attack
   double selected_scale = 1.0;
 
+  /// Build the deployment bundle (version 1) of each system: the control
+  /// plane's one compile. Call once and hand the result to every pipeline,
+  /// shard and device that serves the deployment.
   switchsim::DeployedModel iguard_model() const;
   switchsim::DeployedModel iforest_model() const;
 };

@@ -71,8 +71,8 @@ void emit_range_table(std::ostringstream& os, const std::string& name,
 
 std::string emit_p4_program(const DeployedModel& model, const P4EmitOptions& o) {
   std::ostringstream os;
-  const std::size_t fl_tables = model.fl_tables != nullptr ? model.fl_tables->tables.size() : 0;
-  const std::size_t pl_tables = model.pl_tables != nullptr ? model.pl_tables->tables.size() : 0;
+  const std::size_t fl_tables = model->fl.tables.size();
+  const std::size_t pl_tables = model->pl.tables.size();
 
   emit_header(os, o);
   emit_metadata(os, fl_tables, pl_tables);
@@ -89,21 +89,19 @@ std::string emit_p4_program(const DeployedModel& model, const P4EmitOptions& o) 
      << "action vote_pl() { meta.benign_votes_pl = meta.benign_votes_pl + 1; }\n"
      << "action drop_packet() { mark_to_drop(standard_metadata); }\n";
 
-  if (model.fl_tables != nullptr) {
-    os << "\n// Per-tree FL whitelist tables (majority of " << fl_tables
-       << " matches => benign).\n";
-    for (std::size_t t = 0; t < fl_tables; ++t) {
-      emit_range_table(os, "fl_whitelist_tree" + std::to_string(t),
-                       std::span<const char* const>(kFlFieldNames, 13), "q_",
-                       model.fl_tables->tables[t].size(), "vote_fl");
-    }
+  os << "\n// Per-tree FL whitelist tables (majority of " << fl_tables
+     << " matches => benign).\n";
+  for (std::size_t t = 0; t < fl_tables; ++t) {
+    emit_range_table(os, "fl_whitelist_tree" + std::to_string(t),
+                     std::span<const char* const>(kFlFieldNames, 13), "q_",
+                     model->fl.tables[t].size(), "vote_fl");
   }
-  if (model.pl_tables != nullptr) {
+  if (model->has_pl()) {
     os << "\n// Per-tree PL (early-packet) whitelist tables.\n";
     for (std::size_t t = 0; t < pl_tables; ++t) {
       emit_range_table(os, "pl_whitelist_tree" + std::to_string(t),
                        std::span<const char* const>(kPlFieldNames, 4), "q_pl_",
-                       model.pl_tables->tables[t].size(), "vote_pl");
+                       model->pl.tables[t].size(), "vote_pl");
     }
   }
 
@@ -152,8 +150,8 @@ std::string emit_table_entries(const DeployedModel& model) {
       }
     }
   };
-  if (model.fl_tables != nullptr) dump(*model.fl_tables, "fl_whitelist_tree", "vote_fl");
-  if (model.pl_tables != nullptr) dump(*model.pl_tables, "pl_whitelist_tree", "vote_pl");
+  dump(model->fl, "fl_whitelist_tree", "vote_fl");
+  dump(model->pl, "pl_whitelist_tree", "vote_pl");
   return os.str();
 }
 

@@ -52,14 +52,12 @@ std::string validate_config(const PipelineConfig& cfg) {
 
 Pipeline::Pipeline(const PipelineConfig& cfg, const DeployedModel& model)
     : cfg_(checked(cfg)),
-      model_(model),
+      deployment_(model),
       store_(cfg.flow_slots),
       blacklist_(cfg.blacklist_capacity, cfg.eviction),
       controller_(blacklist_, cfg.control, &store_, cfg.metrics,
                   cfg.metrics_prefix + ".control") {
-  if (model_.fl_tables == nullptr || model_.fl_quantizer == nullptr) {
-    throw std::invalid_argument("Pipeline: FL rules are mandatory");
-  }
+  if (deployment_ == nullptr) throw std::invalid_argument("Pipeline: model bundle is null");
   if (cfg_.metrics != nullptr && cfg_.metrics->enabled()) {
     obs_.enabled = true;
     const std::string& p = cfg_.metrics_prefix;
@@ -74,61 +72,34 @@ Pipeline::Pipeline(const PipelineConfig& cfg, const DeployedModel& model)
     obs_.leaked_packets = cfg_.metrics->counter(p + ".leaked_packets");
   }
   if (cfg_.swap.enabled) {
-    // Snapshot the deployed model into version 1 of the swap loop's handle:
-    // published bundles own their tables, so online updates can never mutate
-    // what the data plane is reading (the stale compiled-whitelist skew).
-    core::VoteWhitelist pl =
-        model_.pl_tables != nullptr ? *model_.pl_tables : core::VoteWhitelist{};
-    rules::Quantizer pl_q =
-        model_.pl_quantizer != nullptr ? *model_.pl_quantizer : rules::Quantizer{16};
-    auto initial = core::build_bundle(1, *model_.fl_tables, *model_.fl_quantizer,
-                                      std::move(pl), std::move(pl_q));
-    swap_ = std::make_unique<SwapLoop>(cfg_.swap, std::move(initial), controller_,
-                                       cfg_.metrics, cfg_.metrics_prefix);
+    // The deployment bundle is the handle's version 1. Bundles are
+    // immutable, so online updates land in the loop's staging copy and
+    // reach the data plane only through a newly published version.
+    swap_ = std::make_unique<SwapLoop>(cfg_.swap, deployment_, controller_, cfg_.metrics,
+                                       cfg_.metrics_prefix);
     controller_.set_update_sink(swap_.get());
-    bind_bundle(swap_->pin_current());
+    bound_ = swap_->pin_current();
   } else {
-    if (model_.fl_compiled != nullptr) {
-      fl_engine_ = model_.fl_compiled;
-    } else {
-      fl_owned_ = core::CompiledVoteWhitelist(*model_.fl_tables);
-      fl_engine_ = &fl_owned_;
-    }
-    if (model_.pl_compiled != nullptr) {
-      pl_engine_ = model_.pl_compiled;
-    } else if (model_.pl_tables != nullptr) {
-      pl_owned_ = core::CompiledVoteWhitelist(*model_.pl_tables);
-      pl_engine_ = &pl_owned_;
-    }
+    bound_ = deployment_.get();
   }
 }
 
-void Pipeline::bind_bundle(const core::ModelBundle* b) {
-  bound_ = b;
-  model_.fl_tables = &b->fl;
-  model_.fl_quantizer = &b->fl_q;
-  model_.pl_tables = b->has_pl() ? &b->pl : nullptr;
-  model_.pl_quantizer = b->has_pl() ? &b->pl_q : nullptr;
-  fl_engine_ = &b->fl_compiled;
-  pl_engine_ = b->has_pl() ? &b->pl_compiled : nullptr;
-}
-
 int Pipeline::classify_pl(const traffic::Packet& p) const {
-  if (model_.pl_tables == nullptr || model_.pl_quantizer == nullptr) return 0;
+  if (!bound_->has_pl()) return 0;
   const double f[kPlFeatures] = {static_cast<double>(p.ft.dst_port),
                                  static_cast<double>(p.ft.proto),
                                  static_cast<double>(p.length), static_cast<double>(p.ttl)};
   std::array<std::uint32_t, kPlFeatures> key;
-  model_.pl_quantizer->quantize_into(f, key);
-  return pl_engine_->classify(key);
+  bound_->pl_q.quantize_into(f, key);
+  return bound_->pl_compiled.classify(key);
 }
 
 void Pipeline::finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, IntFlowState& st,
                              SimStats& stats) {
   const auto f = st.finalize();
   std::array<std::uint32_t, kSwitchFlFeatures> key;
-  model_.fl_quantizer->quantize_into(f, key);
-  const int label = fl_engine_->classify(key);
+  bound_->fl_q.quantize_into(f, key);
+  const int label = bound_->fl_compiled.classify(key);
   st.label = static_cast<std::int8_t>(label);
   ++stats.flows_classified;
   // Digest (5-tuple + label) regardless of match outcome (§2, step 10a),
@@ -164,10 +135,9 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
   // install triggered by packet i has always only affected packets > i).
   controller_.advance_to(p.ts);
   if (swap_ != nullptr) {
-    // Hitless pickup: publish anything due by now, then pin. Rebinding only
-    // happens on a version change, so the steady state is two atomic loads.
-    const core::ModelBundle* b = swap_->advance_and_pin(p.ts);
-    if (b != bound_) bind_bundle(b);
+    // Hitless pickup: publish anything due by now, then pin; the steady
+    // state is two atomic loads.
+    bound_ = swap_->advance_and_pin(p.ts);
   }
   ++stats.packets;
   const std::uint8_t truth = p.malicious ? 1 : 0;
@@ -291,7 +261,7 @@ void Pipeline::finish_stream(SimStats& stats) {
     // The flush above may have delivered late mirrors that triggered one
     // more publish; finish() makes it live and reclaims retired versions.
     swap_->finish();
-    bind_bundle(swap_->handle().current());
+    bound_ = swap_->handle().current();
     stats.swap = swap_->stats();
   }
   const std::size_t leaked = stats.faults.leaked_packets;

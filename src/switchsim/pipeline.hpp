@@ -27,9 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "core/whitelist.hpp"
+#include "core/model_swap.hpp"
 #include "obs/metrics.hpp"
-#include "rules/quantize.hpp"
 #include "switchsim/faults.hpp"
 #include "switchsim/registers.hpp"
 #include "switchsim/swap_loop.hpp"
@@ -37,22 +36,19 @@
 
 namespace iguard::switchsim {
 
-/// Rule tables + quantisers a trained model deploys onto the switch. Each
-/// whitelist is a per-tree table set with a match-count vote (how forest
-/// models fit RMT hardware; see core::VoteWhitelist).
-struct DeployedModel {
-  const core::VoteWhitelist* fl_tables = nullptr;
-  const rules::Quantizer* fl_quantizer = nullptr;  // over the 13 FL features
-  const core::VoteWhitelist* pl_tables = nullptr;  // optional early-packet rules
-  const rules::Quantizer* pl_quantizer = nullptr;
-  /// Optional pre-compiled interval-bitmap engines for the two whitelists.
-  /// Compilation is a control-plane operation (like TCAM programming): doing
-  /// it once here and sharing the read-only result lets sharded replay spin
-  /// up K pipelines without K redundant compilations. When null, each
-  /// Pipeline compiles its own copy.
-  const core::CompiledVoteWhitelist* fl_compiled = nullptr;
-  const core::CompiledVoteWhitelist* pl_compiled = nullptr;
-};
+/// The model a deployment serves: one immutable core::ModelBundle (per-tree
+/// FL and PL whitelists with a match-count vote, their quantisers and the
+/// compiled interval-bitmap engines). As on the switch, where the control
+/// plane compiles the rules once and every pipe matches against the one
+/// installed set, a caller builds it once with core::build_bundle(1, ...)
+/// and every shard and fleet device binds that same bundle; no pipeline
+/// copies or compiles rules. The PL (early-packet) stage is present iff
+/// ModelBundle::has_pl().
+///
+/// Deployment bundles are version 1: a swap-enabled pipeline seeds its
+/// ModelHandle with the bundle itself, so its first publish is version 2
+/// and SwapStats::final_version == 1 + publishes (DESIGN.md §4e).
+using DeployedModel = std::shared_ptr<const core::ModelBundle>;
 
 struct PipelineConfig {
   std::size_t packet_threshold_n = 32;  // the paper's n
@@ -81,10 +77,9 @@ struct PipelineConfig {
   /// never share an instrument and non-timing keys stay deterministic.
   std::string metrics_prefix = "pipeline";
   /// Adaptive model-swap loop (swap_loop.hpp). Disabled by default; when
-  /// enabled the deployed model is snapshotted into version 1 of a
-  /// core::ModelHandle, benign FL mirrors are delivered to the loop through
-  /// the control channel, and published versions are picked up hitlessly
-  /// with one pin() per packet.
+  /// enabled the deployed bundle is version 1 of a core::ModelHandle, benign
+  /// FL mirrors are delivered to the loop through the control channel, and
+  /// published versions are picked up hitlessly with one pin() per packet.
   SwapConfig swap{};
 };
 
@@ -147,8 +142,9 @@ class Pipeline {
   /// packets are sampled is a pure function of each shard's stream.
   static constexpr std::uint64_t kLatencySampleEvery = 64;
 
-  /// Throws ConfigError on an invalid `cfg` (validate_config), and
-  /// std::invalid_argument when the model carries no FL rules.
+  /// Binds `model` (shared, never copied). Throws ConfigError on an invalid
+  /// `cfg` (validate_config), and std::invalid_argument when `model` is
+  /// null.
   Pipeline(const PipelineConfig& cfg, const DeployedModel& model);
 
   /// Process one packet; returns the verdict (1 = drop as malicious). The
@@ -173,9 +169,6 @@ class Pipeline {
   /// `ts_s`. Returns false when the swap loop is disabled.
   bool request_model_publish(double ts_s);
 
-  /// Drain all in-flight control-plane work (see Controller::flush).
-  void flush_control_plane() { controller_.flush(); }
-
   const Controller& controller() const { return controller_; }
   const BlacklistTable& blacklist() const { return blacklist_; }
   const FlowStore& flow_store() const { return store_; }
@@ -186,8 +179,6 @@ class Pipeline {
   int classify_pl(const traffic::Packet& p) const;
   void finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, IntFlowState& st,
                      SimStats& stats);
-  /// Re-target the model/engine pointers at a newly pinned bundle version.
-  void bind_bundle(const core::ModelBundle* b);
 
   /// Handles into PipelineConfig::metrics; all default-inactive (no-op)
   /// when no registry is attached. Registered once at construction.
@@ -202,21 +193,17 @@ class Pipeline {
   };
 
   PipelineConfig cfg_;
-  DeployedModel model_;
-  /// Interval-bitmap engines every lookup goes through. The pointers refer
-  /// to the bound bundle's engines, the model's shared pre-compiled tables,
-  /// or the locally-owned compilations below (built at construction when
-  /// the model does not share any).
-  core::CompiledVoteWhitelist fl_owned_, pl_owned_;
-  const core::CompiledVoteWhitelist* fl_engine_ = nullptr;
-  const core::CompiledVoteWhitelist* pl_engine_ = nullptr;
+  /// The caller's bundle, shared with every other pipeline of the
+  /// deployment; holding it keeps bound_ valid while the swap loop is off.
+  DeployedModel deployment_;
   FlowStore store_;
   BlacklistTable blacklist_;
   Controller controller_;
-  /// Present iff cfg_.swap.enabled; owns the versioned model handle. The
-  /// currently bound bundle is tracked so process() rebinds pointers only
-  /// when a pin returns a new version.
+  /// Present iff cfg_.swap.enabled; owns the versioned model handle, whose
+  /// version 1 is deployment_.
   std::unique_ptr<SwapLoop> swap_;
+  /// The bundle every lookup reads: deployment_ with the swap loop off,
+  /// otherwise the version the loop's last pin returned.
   const core::ModelBundle* bound_ = nullptr;
   /// Bi-hash keys of flows the data plane has classified malicious, with
   /// which leaked packets (admitted after classification) are detected.

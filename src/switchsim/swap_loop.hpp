@@ -102,8 +102,6 @@ class SwapLoop final : public WhitelistUpdateSink {
 
   SwapStats stats() const;
   const core::ModelHandle& handle() const { return handle_; }
-  const core::VoteWhitelist& staging_fl() const { return staging_fl_; }
-  const core::DriftDetector& drift() const { return drift_; }
 
  private:
   void trigger_publish(bool drift_triggered, double ts_s);

@@ -60,14 +60,7 @@ class AllocPathTest : public ::testing::Test {
         {std::vector<rules::FieldRange>(4, {0, pl_quant_.domain_max()}), 0, 0}});
   }
 
-  DeployedModel model() const {
-    DeployedModel dm;
-    dm.fl_tables = &fl_;
-    dm.fl_quantizer = &fl_quant_;
-    dm.pl_tables = &pl_;
-    dm.pl_quantizer = &pl_quant_;
-    return dm;
-  }
+  DeployedModel model() const { return core::build_bundle(1, fl_, fl_quant_, pl_, pl_quant_); }
 
   rules::Quantizer fl_quant_{16}, pl_quant_{16};
   core::VoteWhitelist fl_, pl_;

@@ -67,26 +67,21 @@ traffic::Trace make_trace(std::size_t flows, std::size_t packets_per_flow) {
 
 /// One-tree whitelist over the switch FL features (the benchmark's
 /// bootstrap): small packets pass, large ones are flagged.
-struct Model {
-  rules::Quantizer quant{16};
-  core::VoteWhitelist wl;
-  switchsim::DeployedModel dm;
-
-  Model() {
-    ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
-    for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
-      fake(0, j) = 0.0;
-      fake(1, j) = 1e6;
-    }
-    quant.fit(fake);
-    wl.tree_count = 1;
-    std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
-    box[5] = {0, quant.quantize_value(5, 600.0)};
-    wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
-    dm.fl_tables = &wl;
-    dm.fl_quantizer = &quant;
+switchsim::DeployedModel bootstrap_model() {
+  ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
+  for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
+    fake(0, j) = 0.0;
+    fake(1, j) = 1e6;
   }
-};
+  rules::Quantizer quant{16};
+  quant.fit(fake);
+  core::VoteWhitelist wl;
+  wl.tree_count = 1;
+  std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
+  box[5] = {0, quant.quantize_value(5, 600.0)};
+  wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
+  return core::build_bundle(1, std::move(wl), std::move(quant));
+}
 
 /// Write `text` to a unique temp file and return its path.
 std::string write_temp(const std::string& name, const std::string& text) {
@@ -343,7 +338,7 @@ TEST(Prometheus, SeriesRenderAsLabelledSamples) {
 // --- daemon end-to-end ------------------------------------------------------
 
 TEST(Daemon, ServesLoopedTraceWithConservationAndDeterminism) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_loop.csv", io::trace_to_csv(make_trace(24, 6)));
 
@@ -355,7 +350,7 @@ TEST(Daemon, ServesLoopedTraceWithConservationAndDeterminism) {
     cfg.overload.queue_capacity = 64;
     cfg.overload.drain_rate_pps = 200000.0;
     cfg.metrics = &reg;
-    Daemon d(cfg, model.dm);
+    Daemon d(cfg, dm);
     d.run_synchronous();
     return std::make_pair(d.stats(), d.alerts().render());
   };
@@ -377,12 +372,34 @@ TEST(Daemon, ServesLoopedTraceWithConservationAndDeterminism) {
             strip_timing(obs::to_prometheus(reg_b.snapshot())));
 }
 
+// Every shard binds the caller's bundle itself, swap loop on or off: no
+// shard copies or compiles its own, so each one holds a reference to `dm`
+// for exactly the daemon's lifetime.
+TEST(Daemon, EveryShardBindsTheCallersBundle) {
+  const switchsim::DeployedModel dm = bootstrap_model();
+  const std::string path =
+      write_temp("daemon_shared_bundle.csv", io::trace_to_csv(make_trace(24, 6)));
+  for (const bool swap : {false, true}) {
+    SCOPED_TRACE(swap ? "swap on" : "swap off");
+    DaemonConfig cfg = base_config(path);
+    cfg.shards = 4;
+    cfg.pipeline.swap.enabled = swap;
+    {
+      Daemon d(cfg, dm);
+      EXPECT_GE(dm.use_count(), 1 + 4);
+      d.run_synchronous();
+      EXPECT_EQ(audit_daemon_conservation(d.stats()), "");
+    }
+    EXPECT_EQ(dm.use_count(), 1);
+  }
+}
+
 // The ring only adds concurrency: at every capacity — 2 parks the producer
 // on nearly every batch, 1024 holds whole batches — and shard count, the
 // threaded run equals the synchronous one in stats and in every non-timing
 // byte of the exposition.
 TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_threaded.csv", io::trace_to_csv(make_trace(20, 6)));
 
@@ -397,7 +414,7 @@ TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
         cfg.shards = shards;
         cfg.ring_capacity = capacity;
         cfg.metrics = &reg;
-        Daemon d(cfg, model.dm);
+        Daemon d(cfg, dm);
         if (threaded) {
           d.run();
         } else {
@@ -422,7 +439,7 @@ TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
 // flush, close and let run() return. The hand-off counts are visible, under
 // timing.* only.
 TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   // One malformed record per pass makes each pass raise one quarantine
   // alert: a pass counter that needs no instrument, so the test waits on
   // the same signal with -DIGUARD_OBS_OFF.
@@ -433,7 +450,7 @@ TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
   cfg.source.loops = 0;  // forever — only request_stop can end it
   cfg.ring_capacity = 2;
   cfg.metrics = &reg;
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
   const obs::Counter waits = reg.counter("timing.daemon.producer_waits");
 
   // Each pass pushes 192 packets through the two-slot ring, so the
@@ -462,12 +479,12 @@ TEST(Daemon, StopWakesAProducerParkedOnAFullRing) {
 // source's record as truncated. Reads shorter than one record leave such a
 // head pending after every pump.
 TEST(Daemon, StopMidRecordDoesNotQuarantineTheCutRecord) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const traffic::Trace t = make_trace(12, 6);
   const std::string path = write_temp("daemon_stop_mid_record.csv", io::trace_to_csv(t));
   DaemonConfig cfg = base_config(path);
   cfg.source.chunk_bytes = 5;  // every CSV record is longer than this
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
 
   // Serve until a few records are through, then one more short read: the
   // framer now holds the first 5..9 bytes of the next record.
@@ -493,7 +510,7 @@ TEST(Daemon, StopMidRecordDoesNotQuarantineTheCutRecord) {
 }
 
 TEST(Daemon, AlertTotalsMatchTheCountersTheyAnnounce) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   // A trace with garbage lines (quarantine) plus a drain rate low enough to
   // shed: every alert kind must reconcile with the daemon's own accounting.
   std::string csv = io::trace_to_csv(make_trace(30, 6));
@@ -507,7 +524,7 @@ TEST(Daemon, AlertTotalsMatchTheCountersTheyAnnounce) {
   cfg.overload.queue_capacity = 8;
   cfg.overload.drain_rate_pps = 100.0;  // well under the offered rate: sheds
   cfg.alert_check_every = 16;
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
   d.run_synchronous();
 
   const DaemonStats s = d.stats();
@@ -525,7 +542,7 @@ TEST(Daemon, AlertTotalsMatchTheCountersTheyAnnounce) {
 }
 
 TEST(Daemon, HotReloadMidStreamKeepsEveryPacket) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_reload.csv", io::trace_to_csv(make_trace(24, 8)));
 
@@ -540,7 +557,7 @@ TEST(Daemon, HotReloadMidStreamKeepsEveryPacket) {
   cfg.overload.drain_rate_pps = 150000.0;
   cfg.pipeline.swap.enabled = true;
   cfg.pipeline.swap.publish_after_extensions = 0;
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
 
   // Serve part of the stream, reload with a different drain rate, continue.
   for (int i = 0; i < 4; ++i) {
@@ -571,11 +588,11 @@ TEST(Daemon, HotReloadMidStreamKeepsEveryPacket) {
 }
 
 TEST(Daemon, StructuralReloadIsRejectedWithAReason) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_reject.csv", io::trace_to_csv(make_trace(6, 4)));
   DaemonConfig cfg = base_config(path);
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
 
   DaemonConfig next = d.config_snapshot();
   next.shards = 4;
@@ -600,10 +617,10 @@ TEST(Daemon, StructuralReloadIsRejectedWithAReason) {
 }
 
 TEST(Daemon, InvalidConfigThrowsStructuredError) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   DaemonConfig cfg;  // no source.path
   try {
-    Daemon d(cfg, model.dm);
+    Daemon d(cfg, dm);
     FAIL() << "constructor accepted an empty source path";
   } catch (const switchsim::ConfigError& e) {
     EXPECT_EQ(e.structure(), "DaemonConfig");
@@ -633,7 +650,7 @@ TEST(Daemon, InvalidConfigThrowsStructuredError) {
   EXPECT_EQ(validate_config(cfg).rfind("pipeline.blacklist_capacity: ", 0), 0u)
       << validate_config(cfg);
   try {
-    Daemon d(cfg, model.dm);
+    Daemon d(cfg, dm);
     FAIL() << "constructor accepted a 2^40-entry blacklist";
   } catch (const switchsim::ConfigError& e) {
     EXPECT_EQ(e.structure(), "DaemonConfig");
@@ -646,7 +663,7 @@ TEST(Daemon, InvalidConfigThrowsStructuredError) {
 // malformed record 20 records into the stream, read in batches of 8, came
 // back as record 4.
 TEST(Daemon, QuarantineIndexCountsRecordsSinceStart) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   std::string csv = io::trace_to_csv(make_trace(6, 5));  // 30 records
   std::size_t at = 0;
   for (int line = 0; line < 21; ++line) at = csv.find('\n', at) + 1;  // record 20
@@ -654,7 +671,7 @@ TEST(Daemon, QuarantineIndexCountsRecordsSinceStart) {
   const std::string path = write_temp("daemon_quarantine_index.csv", csv);
   DaemonConfig cfg = base_config(path);
   cfg.max_batch_records = 8;
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
   d.run_synchronous();
 
   ASSERT_EQ(d.quarantine().size(), 1u);
@@ -669,7 +686,7 @@ TEST(Daemon, QuarantineIndexCountsRecordsSinceStart) {
 // of 8 accepted 20 of 30 records where the stream-level replay accepts 5.
 // A daemon rejects the key instead, at construction and on reload.
 TEST(Daemon, RejectsAReaderRecordBudget) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_record_budget.csv", io::trace_to_csv(make_trace(6, 5)));
   DaemonConfig cfg = base_config(path);
@@ -678,7 +695,7 @@ TEST(Daemon, RejectsAReaderRecordBudget) {
   EXPECT_EQ(validate_config(cfg).rfind("reader.limits.max_records: ", 0), 0u)
       << validate_config(cfg);
   try {
-    Daemon d(cfg, model.dm);
+    Daemon d(cfg, dm);
     FAIL() << "constructor accepted reader.limits.max_records = 5";
   } catch (const switchsim::ConfigError& e) {
     EXPECT_EQ(e.structure(), "DaemonConfig");
@@ -686,7 +703,7 @@ TEST(Daemon, RejectsAReaderRecordBudget) {
   }
 
   cfg.reader.limits.max_records = 0;
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
   DaemonConfig next = d.config_snapshot();
   next.reader.limits.max_records = 5;
   EXPECT_EQ(d.request_reload(next).rfind("reader.limits.max_records: ", 0), 0u);
@@ -696,12 +713,12 @@ TEST(Daemon, RejectsAReaderRecordBudget) {
 }
 
 TEST(Daemon, RequestStopDrainsAndAuditsClean) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_stop.csv", io::trace_to_csv(make_trace(16, 6)));
   DaemonConfig cfg = base_config(path);
   cfg.source.loops = 0;  // forever — only request_stop can end it
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
 
   for (int i = 0; i < 8; ++i) {
     d.pump_once();
@@ -879,11 +896,11 @@ TEST(HttpServer, StopReturnsDespiteIdleConnection) {
 // never applied — no pump/drain step runs again to reach the safe points, so
 // reloads_applied stayed 0 with no kReload alert despite the "" acceptance.
 TEST(Daemon, ReloadAfterSourceFinishedIsRejected) {
-  Model model;
+  const switchsim::DeployedModel dm = bootstrap_model();
   const std::string path =
       write_temp("daemon_late_reload.csv", io::trace_to_csv(make_trace(6, 4)));
   DaemonConfig cfg = base_config(path);
-  Daemon d(cfg, model.dm);
+  Daemon d(cfg, dm);
   d.run_synchronous();
 
   DaemonConfig next = d.config_snapshot();

@@ -227,10 +227,7 @@ class FaultPipelineTest : public ::testing::Test {
   }
 
   Pipeline make(PipelineConfig cfg) {
-    DeployedModel dm;
-    dm.fl_tables = &deny_;  // every classified flow is malicious
-    dm.fl_quantizer = &quant_;
-    return Pipeline(cfg, dm);
+    return Pipeline(cfg, core::build_bundle(1, deny_, quant_));  // every flow is malicious
   }
 
   rules::Quantizer quant_{16};
@@ -563,9 +560,7 @@ TEST_F(FaultPipelineTest, SwapGridLosesNoPacketsUnderFaultsAndEviction) {
     box[5] = {0, q.quantize_value(5, cap)};
     wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
   }
-  DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &q;
+  const DeployedModel dm = core::build_bundle(1, std::move(wl), q);
 
   traffic::Trace t;
   for (int i = 0; i < 600; ++i) {

@@ -4,7 +4,6 @@
 // sharded replay, and conservation of every digest and install op.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 
 #include "core/model_swap.hpp"
 #include "fault_audit.hpp"
@@ -64,12 +63,7 @@ class FleetTest : public ::testing::Test {
     wl_.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
   }
 
-  DeployedModel model() const {
-    DeployedModel dm;
-    dm.fl_tables = &wl_;
-    dm.fl_quantizer = &quant_;
-    return dm;
-  }
+  DeployedModel model() const { return core::build_bundle(1, wl_, quant_); }
 
   PipelineConfig pipe_cfg() const {
     PipelineConfig cfg;
@@ -443,40 +437,6 @@ TEST(FleetAudit, DetectsViolatedIdentities) {
   FleetResult r;
   EXPECT_NE(audit_fleet_conservation(r, 1), "") << "missing device packets must fail";
   EXPECT_EQ(audit_fleet_conservation(r, 0), "");
-}
-
-// --- ModelDistributor ---------------------------------------------------------
-
-TEST(ModelDistributor, CompilesOncePerVersionAndSharesTheBundle) {
-  core::ModelDistributor dist;
-  int builds = 0;
-  const auto builder = [&builds] {
-    ++builds;
-    return core::build_bundle(1, core::VoteWhitelist{}, rules::Quantizer{16});
-  };
-  const auto a = dist.get_or_build(1, builder);
-  const auto b = dist.get_or_build(1, builder);
-  EXPECT_EQ(a.get(), b.get()) << "same version must share one compiled bundle";
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(dist.compiles(), 1u);
-  EXPECT_EQ(dist.distributions(), 2u);
-  EXPECT_EQ(dist.versions_cached(), 1u);
-  const auto c = dist.get_or_build(
-      2, [] { return core::build_bundle(2, core::VoteWhitelist{}, rules::Quantizer{16}); });
-  EXPECT_NE(c.get(), a.get());
-  EXPECT_EQ(dist.compiles(), 2u);
-  EXPECT_EQ(dist.versions_cached(), 2u);
-}
-
-TEST(ModelDistributor, RejectsNullAndMismatchedBuilders) {
-  core::ModelDistributor dist;
-  EXPECT_THROW(dist.get_or_build(1, nullptr), std::invalid_argument);
-  EXPECT_THROW(
-      dist.get_or_build(
-          3, [] { return core::build_bundle(4, core::VoteWhitelist{}, rules::Quantizer{16}); }),
-      std::invalid_argument);
-  EXPECT_EQ(dist.versions_cached(), 0u) << "failed builds must not be cached";
-  EXPECT_EQ(dist.compiles(), 0u) << "failed builds must not count as compiles";
 }
 
 }  // namespace

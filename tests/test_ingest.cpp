@@ -54,26 +54,20 @@ traffic::Trace small_trace(std::size_t flows, std::size_t per_flow, std::uint64_
 
 /// Minimal deployed model (the bench idiom): one all-pass whitelist rule
 /// over a quantizer fitted on a synthetic [0, 1e6] feature box.
-struct TinyModel {
-  rules::Quantizer quant{16};
-  core::VoteWhitelist wl;
-  switchsim::DeployedModel dm;
-
-  TinyModel() {
-    ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
-    for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
-      fake(0, j) = 0.0;
-      fake(1, j) = 1e6;
-    }
-    quant.fit(fake);
-    wl.tree_count = 1;
-    std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures,
-                                       {0, quant.domain_max()});
-    wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
-    dm.fl_tables = &wl;
-    dm.fl_quantizer = &quant;
+switchsim::DeployedModel tiny_model() {
+  ml::Matrix fake(2, switchsim::kSwitchFlFeatures);
+  for (std::size_t j = 0; j < switchsim::kSwitchFlFeatures; ++j) {
+    fake(0, j) = 0.0;
+    fake(1, j) = 1e6;
   }
-};
+  rules::Quantizer quant{16};
+  quant.fit(fake);
+  core::VoteWhitelist wl;
+  wl.tree_count = 1;
+  std::vector<rules::FieldRange> box(switchsim::kSwitchFlFeatures, {0, quant.domain_max()});
+  wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
+  return core::build_bundle(1, std::move(wl), std::move(quant));
+}
 
 std::uint64_t cat(const io::IngestStats& s, io::IngestErrorCategory c) {
   return s.by_category[static_cast<std::size_t>(c)];
@@ -553,7 +547,7 @@ TEST(Overload, FlowHashSheddingIsFlowCoherent) {
 }
 
 TEST(Overload, RandomScheduleConservesAtEveryShardCount) {
-  TinyModel m;
+  const switchsim::DeployedModel dm = tiny_model();
   ml::Rng rng(0x5EED5ull);
   for (int round = 0; round < 3; ++round) {
     const traffic::Trace t = small_trace(20 + 7 * static_cast<std::size_t>(round), 6,
@@ -574,7 +568,7 @@ TEST(Overload, RandomScheduleConservesAtEveryShardCount) {
       switchsim::ReplayConfig rc;
       rc.shards = shards;
       const auto out = io::ingest_replay_sharded(t, icfg, switchsim::PipelineConfig{},
-                                                 m.dm, rc);
+                                                 dm, rc);
       EXPECT_EQ(io::audit_ingest_conservation(out), "");
       EXPECT_TRUE(switchsim::AuditSimConservation(out.replay.stats));
       if (!have_first) {
@@ -720,23 +714,23 @@ TEST(IngestBoundary, DirtyPacketsQuarantined) {
 }
 
 TEST(IngestBoundary, HardenedReplayMatchesPlainReplayExactly) {
-  TinyModel m;
+  const switchsim::DeployedModel dm = tiny_model();
   const traffic::Trace t = small_trace(20, 6, 0x66ull);
   switchsim::ReplayConfig rc;
   rc.shards = 2;
-  const auto plain = switchsim::replay_sharded(t, switchsim::PipelineConfig{}, m.dm, rc);
+  const auto plain = switchsim::replay_sharded(t, switchsim::PipelineConfig{}, dm, rc);
   io::IngestReplayConfig icfg;  // hardening on, chaos/overload off
   const auto hard =
-      io::ingest_replay_sharded(t, icfg, switchsim::PipelineConfig{}, m.dm, rc);
+      io::ingest_replay_sharded(t, icfg, switchsim::PipelineConfig{}, dm, rc);
   EXPECT_TRUE(hard.replay.stats == plain.stats);
   // Same through the serialized untrusted-bytes entry.
   const auto bytes = io::ingest_replay_sharded(io::trace_to_csv(t), icfg,
-                                               switchsim::PipelineConfig{}, m.dm, rc);
+                                               switchsim::PipelineConfig{}, dm, rc);
   EXPECT_TRUE(bytes.replay.stats == plain.stats);
 }
 
 TEST(IngestBoundary, FleetChainConserves) {
-  TinyModel m;
+  const switchsim::DeployedModel dm = tiny_model();
   const traffic::Trace t = small_trace(15, 5, 0x77ull);
   io::IngestReplayConfig icfg;
   icfg.overload.enabled = true;
@@ -747,7 +741,7 @@ TEST(IngestBoundary, FleetChainConserves) {
   fc.devices = 2;
   fc.replay.shards = 2;
   const auto out =
-      io::ingest_replay_fleet(t, icfg, switchsim::PipelineConfig{}, m.dm, fc);
+      io::ingest_replay_fleet(t, icfg, switchsim::PipelineConfig{}, dm, fc);
   EXPECT_EQ(io::audit_ingest_conservation(out), "");
 }
 
@@ -794,8 +788,8 @@ TEST(ConfigValidation, ReplayRejectsZeroShards) {
     EXPECT_EQ(e.structure(), "ReplayConfig");
     EXPECT_EQ(e.field(), "shards");
   }
-  TinyModel m;
-  EXPECT_THROW((void)switchsim::replay_sharded(t, switchsim::PipelineConfig{}, m.dm, rc),
+  const switchsim::DeployedModel dm = tiny_model();
+  EXPECT_THROW((void)switchsim::replay_sharded(t, switchsim::PipelineConfig{}, dm, rc),
                switchsim::ConfigError);
 }
 
@@ -803,9 +797,9 @@ TEST(ConfigValidation, FleetRejectsBadValues) {
   switchsim::FleetConfig fc;
   fc.devices = 0;
   EXPECT_NE(switchsim::validate_config(fc), "");
-  TinyModel m;
+  const switchsim::DeployedModel dm = tiny_model();
   const traffic::Trace t = small_trace(2, 2, 0x2ull);
-  EXPECT_THROW((void)switchsim::replay_fleet(t, switchsim::PipelineConfig{}, m.dm, fc),
+  EXPECT_THROW((void)switchsim::replay_fleet(t, switchsim::PipelineConfig{}, dm, fc),
                switchsim::ConfigError);
 
   fc = {};

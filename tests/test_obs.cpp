@@ -133,12 +133,7 @@ class ObsReplayTest : public ::testing::Test {
     wl_.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
   }
 
-  switchsim::DeployedModel model() const {
-    switchsim::DeployedModel dm;
-    dm.fl_tables = &wl_;
-    dm.fl_quantizer = &quant_;
-    return dm;
-  }
+  switchsim::DeployedModel model() const { return core::build_bundle(1, wl_, quant_); }
 
   traffic::Trace make_trace(std::size_t flows, std::size_t packets_per_flow) const {
     ml::Rng rng(7);

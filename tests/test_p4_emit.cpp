@@ -28,10 +28,7 @@ class P4EmitTest : public ::testing::Test {
     pl_.tables.emplace_back(std::vector<rules::RangeRule>{
         {std::vector<rules::FieldRange>(4, {0, 10}), 0, 0}});
 
-    model_.fl_tables = &fl_;
-    model_.fl_quantizer = &flq_;
-    model_.pl_tables = &pl_;
-    model_.pl_quantizer = &plq_;
+    model_ = core::build_bundle(1, fl_, flq_, pl_, plq_);
   }
 
   rules::Quantizer flq_{16}, plq_{16};
@@ -83,10 +80,7 @@ TEST_F(P4EmitTest, EntriesOnePerRuleWithRanges) {
 }
 
 TEST_F(P4EmitTest, NoPlModelIsFine) {
-  DeployedModel no_pl = model_;
-  no_pl.pl_tables = nullptr;
-  no_pl.pl_quantizer = nullptr;
-  const std::string p4 = emit_p4_program(no_pl);
+  const std::string p4 = emit_p4_program(core::build_bundle(1, fl_, flq_));
   EXPECT_EQ(p4.find("pl_whitelist_tree0"), std::string::npos);
   EXPECT_NE(p4.find("fl_whitelist_tree0"), std::string::npos);
 }

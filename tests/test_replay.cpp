@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "ml/rng.hpp"
 #include "switchsim/replay.hpp"
 
@@ -48,12 +52,7 @@ class ReplayTest : public ::testing::Test {
     wl_.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
   }
 
-  DeployedModel model() const {
-    DeployedModel dm;
-    dm.fl_tables = &wl_;
-    dm.fl_quantizer = &quant_;
-    return dm;
-  }
+  DeployedModel model() const { return core::build_bundle(1, wl_, quant_); }
 
   PipelineConfig pipe_cfg() const {
     PipelineConfig cfg;
@@ -214,27 +213,6 @@ TEST_F(ReplayTest, RecordLabelsOffKeepsConfusionCounts) {
   EXPECT_EQ(a.fn, fn);
 }
 
-TEST_F(ReplayTest, SharedPrecompiledTablesMatchOwnCompilation) {
-  // A DeployedModel carrying pre-compiled whitelists (compile once, share
-  // across shard pipelines) must replay bit-identically to pipelines that
-  // compile their own copies.
-  ml::Rng rng(31);
-  const auto trace = make_trace(80, 8, rng);
-  const auto own = model();
-  DeployedModel shared = model();
-  const core::CompiledVoteWhitelist fl_compiled(wl_);
-  shared.fl_compiled = &fl_compiled;
-
-  ReplayConfig rc;
-  rc.shards = 4;
-  const auto a = replay_sharded(trace, pipe_cfg(), own, rc);
-  const auto b = replay_sharded(trace, pipe_cfg(), shared, rc);
-  EXPECT_EQ(a.stats.pred, b.stats.pred);
-  EXPECT_EQ(a.stats.dropped, b.stats.dropped);
-  EXPECT_EQ(a.stats.path_count, b.stats.path_count);
-  EXPECT_EQ(a.stats.flows_classified, b.stats.flows_classified);
-}
-
 // --- model-swap determinism matrix ------------------------------------------
 
 /// Three-table vote whitelist over min packet size (feature 5): two broad
@@ -302,11 +280,7 @@ PipelineConfig swap_pipe_cfg(bool enable_swap) {
 TEST_F(ReplayTest, DriftTriggeredSwapsAreBitIdenticalAcrossShardAndThreadCounts) {
   ml::Rng rng(31);
   const auto trace = drift_trace(400, 8, rng);
-  rules::Quantizer q = quant_;
-  const auto wl = swap_whitelist(q);
-  DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &q;
+  const DeployedModel dm = core::build_bundle(1, swap_whitelist(quant_), quant_);
   const auto cfg = swap_pipe_cfg(true);
 
   for (std::size_t k : {1u, 2u, 4u, 8u}) {
@@ -353,11 +327,7 @@ TEST_F(ReplayTest, SwapLoopWithoutTriggersIsByteIdenticalToDisabled) {
   // every data-plane observable must match a swap-disabled run exactly.
   ml::Rng rng(37);
   const auto trace = drift_trace(150, 8, rng);
-  rules::Quantizer q = quant_;
-  const auto wl = swap_whitelist(q);
-  DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &q;
+  const DeployedModel dm = core::build_bundle(1, swap_whitelist(quant_), quant_);
   auto on = swap_pipe_cfg(true);
   on.swap.drift.enabled = false;
   const auto off = swap_pipe_cfg(false);
@@ -386,11 +356,7 @@ TEST_F(ReplayTest, SwapLoopWithoutTriggersIsByteIdenticalToDisabled) {
 TEST_F(ReplayTest, SwapLatencyRunsLoseNoPacketsAndRetireEveryVersion) {
   ml::Rng rng(41);
   const auto trace = drift_trace(300, 8, rng);
-  rules::Quantizer q = quant_;
-  const auto wl = swap_whitelist(q);
-  DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &q;
+  const DeployedModel dm = core::build_bundle(1, swap_whitelist(quant_), quant_);
   auto cfg = swap_pipe_cfg(true);
   cfg.swap.swap_latency_s = 0.02;  // publish visibly later than the trigger
   ReplayConfig rc;
@@ -412,6 +378,56 @@ TEST_F(ReplayTest, SwapLatencyRunsLoseNoPacketsAndRetireEveryVersion) {
     EXPECT_EQ(s.faults.mirrors_delivered + s.faults.mirrors_lost, s.benign_feature_mirrors);
     EXPECT_EQ(s.swap.mirrors_applied, s.faults.mirrors_delivered);
   }
+}
+
+TEST_F(ReplayTest, SwapOffPipelineKeepsSharedVersionOneAfterAnotherPublishes) {
+  // One deployment bundle bound by a swap-on and a swap-off pipeline. Once
+  // the swap-on pipeline publishes version 2, the swap-off one must still
+  // judge with version 1, exactly as a pipeline on a private bundle does.
+  // The caller drops its reference, so only the pipelines keep v1 alive.
+  ml::Rng rng(43);
+  const auto trace = drift_trace(200, 8, rng);
+  DeployedModel shared = core::build_bundle(1, swap_whitelist(quant_), quant_);
+  const std::weak_ptr<const core::ModelBundle> v1 = shared;
+  auto on = swap_pipe_cfg(true);
+  on.swap.drift.enabled = false;  // the operator request is the only trigger
+  // Version 2 matches nothing, so its verdicts visibly differ from v1's.
+  on.swap.rebuilder = [](const core::RebuildInput& in) {
+    core::VoteWhitelist deny;
+    deny.tree_count = 1;
+    deny.tables.emplace_back(std::vector<rules::RangeRule>{});
+    return core::build_bundle(in.new_version, std::move(deny), in.current->fl_q);
+  };
+  const auto off = swap_pipe_cfg(false);
+  Pipeline swapping(on, shared), fixed(off, shared);
+  Pipeline reference(off, core::build_bundle(1, swap_whitelist(quant_), quant_));
+  shared.reset();
+
+  SimStats s_swap, s_fixed, s_ref;
+  const std::size_t half = trace.size() / 2;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const traffic::Packet& p = trace.packets[i];
+    if (i == half) {
+      ASSERT_TRUE(swapping.request_model_publish(p.ts));
+    }
+    swapping.process(p, s_swap);
+    fixed.process(p, s_fixed);
+    reference.process(p, s_ref);
+  }
+  // Version 2 went live mid-stream and version 1 left the swap-on handle...
+  EXPECT_EQ(swapping.swap_loop()->handle().version(), 2u);
+  EXPECT_EQ(swapping.swap_loop()->stats().bundles_retired, 1u);
+  // ...while the swap-off pipeline still reads it.
+  ASSERT_FALSE(v1.expired());
+  EXPECT_EQ(v1.lock()->version, 1u);
+
+  swapping.finish_stream(s_swap);
+  fixed.finish_stream(s_fixed);
+  reference.finish_stream(s_ref);
+  EXPECT_EQ(s_swap.swap.publishes, 1u);
+  EXPECT_EQ(s_swap.swap.final_version, 2u);
+  EXPECT_GT(s_swap.dropped, s_fixed.dropped) << "version 2 never judged a flow";
+  EXPECT_EQ(s_fixed, s_ref);
 }
 
 }  // namespace

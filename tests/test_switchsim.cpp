@@ -507,12 +507,7 @@ class PipelineTest : public ::testing::Test {
     wl_ = std::move(wl);
   }
 
-  Pipeline make(PipelineConfig cfg) {
-    DeployedModel dm;
-    dm.fl_tables = &wl_;
-    dm.fl_quantizer = &quant_;
-    return Pipeline(cfg, dm);
-  }
+  Pipeline make(PipelineConfig cfg) { return Pipeline(cfg, core::build_bundle(1, wl_, quant_)); }
 
   rules::Quantizer quant_{16};
   core::VoteWhitelist wl_;
@@ -592,12 +587,9 @@ TEST_F(PipelineTest, MaliciousFlowGetsBlacklisted) {
   core::VoteWhitelist deny;
   deny.tree_count = 1;
   deny.tables.emplace_back(std::vector<rules::RangeRule>{});
-  DeployedModel dm;
-  dm.fl_tables = &deny;
-  dm.fl_quantizer = &quant_;
   PipelineConfig cfg;
   cfg.packet_threshold_n = 2;
-  Pipeline pipe(cfg, dm);
+  Pipeline pipe(cfg, core::build_bundle(1, std::move(deny), quant_));
   SimStats st;
   pipe.process(mk(0.0, 100, 1, 1, true), st);  // brown
   pipe.process(mk(0.1, 100, 1, 1, true), st);  // blue -> malicious -> blacklist
@@ -621,10 +613,8 @@ TEST_F(PipelineTest, CollisionTakesOrangePath) {
   EXPECT_GE(st.collisions, 1u);
 }
 
-TEST_F(PipelineTest, MissingFlTablesThrows) {
-  DeployedModel dm;
-  dm.fl_quantizer = &quant_;
-  EXPECT_THROW(Pipeline(PipelineConfig{}, dm), std::invalid_argument);
+TEST_F(PipelineTest, NullModelThrows) {
+  EXPECT_THROW(Pipeline(PipelineConfig{}, nullptr), std::invalid_argument);
 }
 
 TEST_F(PipelineTest, InvalidConfigThrowsConfigError) {
@@ -724,9 +714,7 @@ TEST_F(PipelineTest, NegativeAndOutOfOrderEpochBoundariesMatchExtractor) {
   std::vector<rules::FieldRange> box(kSwitchFlFeatures, {0, quant.domain_max()});
   box[0] = {quant.quantize_value(0, 3.0), quant.domain_max()};
   wl.tables.emplace_back(std::vector<rules::RangeRule>{{box, 0, 0}});
-  DeployedModel dm;
-  dm.fl_tables = &wl;
-  dm.fl_quantizer = &quant;
+  const DeployedModel dm = core::build_bundle(1, std::move(wl), quant);
 
   PipelineConfig cfg;
   cfg.packet_threshold_n = 3;
